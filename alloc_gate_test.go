@@ -17,6 +17,7 @@ import (
 	"dynspread"
 	"dynspread/internal/bitset"
 	"dynspread/internal/bitset/adaptive"
+	"dynspread/internal/core"
 	"dynspread/internal/sim"
 )
 
@@ -82,6 +83,34 @@ func TestAllocGateBroadcastFloodingRound(t *testing.T) {
 		Algorithm: dynspread.AlgFlooding,
 		Adversary: dynspread.AdvStatic,
 		Seed:      7,
+	}, 100, 200)
+}
+
+// TestAllocGateMultiSourceRound: the paper's Multi-Source-Unicast, with
+// s = 16 sources of 32 tokens each, must run its steady-state rounds
+// (announcements, answers and Algorithm 1 requests all in play) with zero
+// allocations under the static adversary.
+func TestAllocGateMultiSourceRound(t *testing.T) {
+	gate(t, "multi-source", dynspread.Config{
+		N: 16, K: 512, Sources: 16,
+		Algorithm: dynspread.AlgMultiSource,
+		Adversary: dynspread.AdvStatic,
+		Seed:      7,
+	}, 100, 200)
+}
+
+// TestAllocGateObliviousWalkRound: Algorithm 2's phase 1 must take its
+// random-walk steps with zero allocations. With CF = 0.01 one center is
+// marked, so the tokens are still walking at round 200 (they all park
+// around round 850); the phase-1 cap lies beyond the measured window, so
+// every measured round is a walk round.
+func TestAllocGateObliviousWalkRound(t *testing.T) {
+	gate(t, "oblivious walk", dynspread.Config{
+		N: 16, K: 512, Sources: 16,
+		Algorithm: dynspread.AlgOblivious,
+		Adversary: dynspread.AdvStatic,
+		Seed:      7,
+		Oblivious: core.ObliviousOpts{ForceTwoPhase: true, CF: 0.01, Phase1Cap: 1000},
 	}, 100, 200)
 }
 

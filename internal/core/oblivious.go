@@ -164,6 +164,10 @@ type Oblivious struct {
 	hosted []token.ID // walking tokens currently at this node
 	parked []token.ID // tokens owned by this center
 	nbrs   []graph.NodeID
+	// usedAt[u] == r marks the edge to u as carrying a walk step in round
+	// r; out is the reusable Send buffer.
+	usedAt []int
+	out    []sim.Message
 
 	// phase 2 delegate (nil until the switch)
 	sub *MultiSource
@@ -183,7 +187,7 @@ func NewOblivious(opts ObliviousOpts) sim.Factory {
 		if !shared.params.TwoPhase {
 			return multi(env)
 		}
-		p := &Oblivious{env: env, shared: shared}
+		p := &Oblivious{env: env, shared: shared, usedAt: make([]int, env.N)}
 		if shared.centers[env.ID] {
 			// A center source parks its own tokens immediately.
 			p.parked = append(p.parked, env.Initial...)
@@ -196,6 +200,8 @@ func NewOblivious(opts ObliviousOpts) sim.Factory {
 }
 
 // BeginRound implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *Oblivious) BeginRound(r int, neighbors []graph.NodeID) {
 	if p.sub == nil && p.shared.switchTry(r) {
 		p.startPhase2()
@@ -225,6 +231,8 @@ func (p *Oblivious) startPhase2() {
 
 // Send implements sim.Protocol: one random-walk step (or high-degree
 // center handoff) per hosted token, respecting one token per edge per round.
+//
+//dynspread:hotpath
 func (p *Oblivious) Send(r int) []sim.Message {
 	if p.sub != nil {
 		return p.sub.Send(r)
@@ -236,8 +244,7 @@ func (p *Oblivious) Send(r int) []sim.Message {
 	if deg == 0 {
 		return nil
 	}
-	var out []sim.Message
-	usedEdge := make(map[graph.NodeID]bool, deg)
+	out := p.out[:0]
 
 	if float64(deg) >= p.shared.params.Gamma {
 		// High-degree: hand one token to each neighboring center.
@@ -247,8 +254,10 @@ func (p *Oblivious) Send(r int) []sim.Message {
 			}
 			t := p.hosted[len(p.hosted)-1]
 			p.hosted = p.hosted[:len(p.hosted)-1]
+			//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
 			out = append(out, sim.WalkMsg(p.env.ID, c, sim.WalkPayload{ID: t}))
 		}
+		p.out = out
 		return out
 	}
 
@@ -258,22 +267,28 @@ func (p *Oblivious) Send(r int) []sim.Message {
 	kept := p.hosted[:0]
 	for _, t := range p.hosted {
 		if p.env.Rng.Float64() >= float64(deg)/float64(p.env.N) {
+			//dynspread:allow hotpath -- in-place filter: kept reuses hosted's backing array and never outgrows it
 			kept = append(kept, t) // self-loop step
 			continue
 		}
 		u := p.nbrs[p.env.Rng.Intn(deg)]
-		if usedEdge[u] {
+		if p.usedAt[u] == r {
+			//dynspread:allow hotpath -- in-place filter: kept reuses hosted's backing array and never outgrows it
 			kept = append(kept, t) // congestion: passive this round
 			continue
 		}
-		usedEdge[u] = true
+		p.usedAt[u] = r
+		//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
 		out = append(out, sim.WalkMsg(p.env.ID, u, sim.WalkPayload{ID: t}))
 	}
 	p.hosted = kept
+	p.out = out
 	return out
 }
 
 // Deliver implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *Oblivious) Deliver(r int, in []sim.Message) {
 	if p.sub != nil {
 		p.sub.Deliver(r, in)
@@ -285,9 +300,11 @@ func (p *Oblivious) Deliver(r int, in []sim.Message) {
 			continue
 		}
 		if p.shared.centers[p.env.ID] {
+			//dynspread:allow hotpath -- amortized: parked only grows, to at most k tokens over the run
 			p.parked = append(p.parked, m.Walk.ID)
 			p.shared.parked++
 		} else {
+			//dynspread:allow hotpath -- amortized: hosted keeps its capacity across rounds; regrowth stops once it covers the node's peak load
 			p.hosted = append(p.hosted, m.Walk.ID)
 		}
 	}

@@ -27,11 +27,13 @@ type SingleSource struct {
 	source      graph.NodeID // learned from announcements; -1 until known
 
 	complete bool
-	// informed tracks the nodes this (complete) node has announced to — the
-	// "at most once per node" rule that caps announcements at O(n²) total.
-	informed map[graph.NodeID]bool
-	// answer[u] is the token index u requested last round (0 = none).
-	answer map[graph.NodeID]int
+	// informed[u] tracks the nodes this (complete) node has announced to —
+	// the "at most once per node" rule that caps announcements at O(n²)
+	// total.
+	informed []bool
+	// answer[u] is the token index u requested in the previous round; it is
+	// to be answered in round answerDue[u].
+	answer, answerDue []int
 
 	round int
 	edges *edgeTracker
@@ -130,8 +132,9 @@ func NewSingleSourceWithOpts(opts SingleSourceOpts) sim.Factory {
 			haveIdx:     make([]bool, env.K+1),
 			idxToGlobal: make([]token.ID, env.K+1),
 			source:      -1,
-			informed:    make(map[graph.NodeID]bool),
-			answer:      make(map[graph.NodeID]int),
+			informed:    make([]bool, env.N),
+			answer:      make([]int, env.N),
+			answerDue:   make([]int, env.N),
 			edges:       newEdgeTracker(env.N),
 			arriveRound: make([]int, env.K+1),
 		}
@@ -154,6 +157,8 @@ func NewSingleSourceWithOpts(opts SingleSourceOpts) sim.Factory {
 }
 
 // BeginRound implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *SingleSource) BeginRound(r int, neighbors []graph.NodeID) {
 	p.round = r
 	p.edges.beginRound(r, neighbors)
@@ -163,6 +168,7 @@ func (p *SingleSource) BeginRound(r int, neighbors []graph.NodeID) {
 	p.inFlight = p.inFlight[:0]
 	for _, q := range p.sentNow {
 		if p.edges.adjacent(q.u) {
+			//dynspread:allow hotpath -- amortized: inFlight is reused across rounds and holds at most one request per neighbor
 			p.inFlight = append(p.inFlight, q)
 		}
 	}
@@ -170,6 +176,8 @@ func (p *SingleSource) BeginRound(r int, neighbors []graph.NodeID) {
 }
 
 // Send implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *SingleSource) Send(r int) []sim.Message {
 	if p.complete {
 		return p.sendComplete()
@@ -187,22 +195,14 @@ func (p *SingleSource) sendComplete() []sim.Message {
 			p.informed[u] = true
 			out = append(out, sim.CompletenessMsg(p.env.ID, u,
 				sim.CompletenessAnn{Source: p.source, Count: p.env.K}))
-		case p.answer[u] != 0:
+		case p.answerDue[u] == p.round:
 			idx := p.answer[u]
-			p.answer[u] = 0
 			g := p.idxToGlobal[idx]
 			if g == token.None {
 				continue
 			}
 			out = append(out, sim.TokenMsg(p.env.ID, u,
 				sim.TokenPayload{ID: g, Owner: p.source, Index: idx, Count: p.env.K}))
-		}
-	}
-	// Drop stale answers for nodes no longer adjacent: if the edge comes
-	// back the requester re-requests.
-	for u := range p.answer {
-		if !p.edges.adjacent(u) {
-			delete(p.answer, u)
 		}
 	}
 	p.out = out
@@ -295,7 +295,9 @@ func (p *SingleSource) sendIncomplete() []sim.Message {
 // incomplete node, "informed" records which neighbors announced THEIR
 // completeness (the paper's S_v); for a complete node it records whom WE
 // announced to (the paper's R_v). A node is never both at once, and on the
-// round it completes the map is reset.
+// round it completes the set is reset.
+//
+//dynspread:hotpath
 func (p *SingleSource) Deliver(r int, in []sim.Message) {
 	// The engine delivers inboxes already sorted by sender (its (To, From)
 	// delivery-order invariant, pinned by TestDeliveryOrderInvariant in sim),
@@ -307,7 +309,7 @@ func (p *SingleSource) Deliver(r int, in []sim.Message) {
 			p.informed[m.From] = true
 		}
 		if m.Has(sim.KindRequest) {
-			p.answer[m.From] = m.Request.Index
+			p.answer[m.From], p.answerDue[m.From] = m.Request.Index, r+1
 		}
 		if m.Has(sim.KindToken) {
 			if !p.haveIdx[m.Token.Index] {
@@ -321,8 +323,8 @@ func (p *SingleSource) Deliver(r int, in []sim.Message) {
 	}
 	if !p.complete && p.haveCount == p.env.K {
 		p.complete = true
-		// Switch the map's role from S_v to R_v: start announcing afresh.
-		p.informed = make(map[graph.NodeID]bool)
+		// Switch the set's role from S_v to R_v: start announcing afresh.
+		clear(p.informed)
 		p.sentNow = p.sentNow[:0]
 		p.inFlight = p.inFlight[:0]
 	}

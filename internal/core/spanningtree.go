@@ -25,17 +25,22 @@ type SpanningTree struct {
 	isSource bool
 	parent   graph.NodeID // -1 until joined
 	joined   bool
-	invited  map[graph.NodeID]bool // neighbors already sent an invite
+	invited  []bool // neighbors already sent an invite
 	children []graph.NodeID
 
 	// queue of tokens to push down, in arrival order; nextToSend[c] indexes
 	// into queue per child.
 	queue      []sim.TokenPayload
-	nextToSend map[graph.NodeID]int
+	nextToSend []int
 
 	pendingInvite bool // send invites next round
 	acceptPending bool // owe the parent a CtrlTreeAccept
 	nbrs          []graph.NodeID
+	// Round stamps indexed by node: adjAt[u] == round marks u as a current
+	// neighbor, sentAt[u] == round marks u as already sent to this round.
+	round         int
+	adjAt, sentAt []int
+	out           []sim.Message // reusable Send buffer
 }
 
 // NewSpanningTree returns the baseline factory.
@@ -44,8 +49,10 @@ func NewSpanningTree() sim.Factory {
 		p := &SpanningTree{
 			env:        env,
 			parent:     -1,
-			invited:    make(map[graph.NodeID]bool),
-			nextToSend: make(map[graph.NodeID]int),
+			invited:    make([]bool, env.N),
+			nextToSend: make([]int, env.N),
+			adjAt:      make([]int, env.N),
+			sentAt:     make([]int, env.N),
 		}
 		if len(env.Initial) > 0 {
 			p.isSource = true
@@ -64,12 +71,21 @@ func NewSpanningTree() sim.Factory {
 }
 
 // BeginRound implements sim.Protocol.
-func (p *SpanningTree) BeginRound(_ int, neighbors []graph.NodeID) { p.nbrs = neighbors }
+//
+//dynspread:hotpath
+func (p *SpanningTree) BeginRound(r int, neighbors []graph.NodeID) {
+	p.round = r
+	p.nbrs = neighbors
+	for _, u := range neighbors {
+		p.adjAt[u] = r
+	}
+}
 
 // Send implements sim.Protocol.
-func (p *SpanningTree) Send(_ int) []sim.Message {
-	var out []sim.Message
-	sentTo := make(map[graph.NodeID]bool)
+//
+//dynspread:hotpath
+func (p *SpanningTree) Send(r int) []sim.Message {
+	out := p.out[:0]
 	// Invitation wave.
 	if p.joined && p.pendingInvite {
 		for _, u := range p.nbrs {
@@ -77,22 +93,24 @@ func (p *SpanningTree) Send(_ int) []sim.Message {
 				continue
 			}
 			p.invited[u] = true
-			sentTo[u] = true
+			p.sentAt[u] = r
+			//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
 			out = append(out, sim.ControlMsg(p.env.ID, u,
 				sim.ControlPayload{Kind: sim.CtrlTreeInvite}))
 		}
 		p.pendingInvite = false
 	}
 	// Accept reply to a freshly adopted parent.
-	if p.acceptPending && p.parentAdjacent() && !sentTo[p.parent] {
+	if p.acceptPending && p.parentAdjacent() && p.sentAt[p.parent] != r {
 		p.acceptPending = false
-		sentTo[p.parent] = true
+		p.sentAt[p.parent] = r
+		//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
 		out = append(out, sim.ControlMsg(p.env.ID, p.parent,
 			sim.ControlPayload{Kind: sim.CtrlTreeAccept}))
 	}
 	// Pipeline one token per child per round.
 	for _, c := range p.children {
-		if sentTo[c] || !p.adjacent(c) {
+		if p.sentAt[c] == r || !p.adjacent(c) {
 			continue
 		}
 		i := p.nextToSend[c]
@@ -101,19 +119,14 @@ func (p *SpanningTree) Send(_ int) []sim.Message {
 		}
 		tp := p.queue[i]
 		p.nextToSend[c] = i + 1
+		//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
 		out = append(out, sim.TokenMsg(p.env.ID, c, tp))
 	}
+	p.out = out
 	return out
 }
 
-func (p *SpanningTree) adjacent(u graph.NodeID) bool {
-	for _, v := range p.nbrs {
-		if v == u {
-			return true
-		}
-	}
-	return false
-}
+func (p *SpanningTree) adjacent(u graph.NodeID) bool { return p.adjAt[u] == p.round }
 
 func (p *SpanningTree) parentAdjacent() bool {
 	return p.parent >= 0 && p.adjacent(p.parent)

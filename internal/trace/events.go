@@ -55,11 +55,16 @@ func apply(g *graph.Graph, round int, ev RoundEvents) error {
 	return nil
 }
 
+// MaxN is the largest node count a trace may declare: the wire layer's
+// MaxWireN. Validate checks it before sizing anything by N, so a tiny file
+// with a huge header is an error rather than an out-of-memory crash.
+const MaxN = 1 << 20
+
 // Validate replays the whole trace against a scratch graph, verifying the
 // node count and the event stream's internal consistency.
 func (tr *GraphTrace) Validate() error {
-	if tr.N < 2 {
-		return fmt.Errorf("trace: need n >= 2 nodes, got %d", tr.N)
+	if tr.N < 2 || tr.N > MaxN {
+		return fmt.Errorf("trace: need 2 <= n <= %d nodes, got %d", MaxN, tr.N)
 	}
 	g := graph.New(tr.N)
 	for i, ev := range tr.Rounds {

@@ -99,6 +99,9 @@ func TestReadRejectsCorruptTraces(t *testing.T) {
 			`{"r":1,"del":[[0,1]]}` + "\n", "not present"},
 		{"edge out of range", `{"format":"dynspread-graph-trace","version":1,"n":4}` + "\n" +
 			`{"r":1,"add":[[0,9]]}` + "\n", "invalid edge"},
+		{"too few nodes", `{"format":"dynspread-graph-trace","version":1,"n":1}` + "\n", "n <="},
+		// A 70-byte header must not size a graph of 2^40 nodes.
+		{"too many nodes", `{"format":"dynspread-graph-trace","version":1,"n":1099511627776}` + "\n", "n <="},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

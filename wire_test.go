@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"dynspread"
+	"dynspread/internal/trace"
 )
 
 func TestGridSpecExpansionMatchesValidation(t *testing.T) {
@@ -248,5 +250,21 @@ func TestRunFullRecordedReplayReproduces(t *testing.T) {
 	}
 	if _, err := dynspread.RunSpecs(context.Background(), []dynspread.TrialSpec{replayed.Trial}, 1, nil); err == nil || !strings.Contains(err.Error(), "replay") {
 		t.Fatalf("replay spec resubmission not rejected: %v", err)
+	}
+}
+
+// TestReadTraceRejectsHugeHeader: a trace header declaring more nodes than
+// the wire layer accepts is an error, not an attempt to size a graph by it
+// (a 70-byte file declaring 2^40 nodes used to crash the process with an
+// unrecoverable out-of-memory fault).
+func TestReadTraceRejectsHugeHeader(t *testing.T) {
+	for _, n := range []int64{dynspread.MaxWireN + 1, 1 << 40} {
+		hdr := `{"format":"dynspread-graph-trace","version":1,"n":` + strconv.FormatInt(n, 10) + "}\n"
+		if _, err := dynspread.ReadTrace(strings.NewReader(hdr)); err == nil {
+			t.Fatalf("n = %d: ReadTrace accepted the header", n)
+		}
+	}
+	if trace.MaxN != dynspread.MaxWireN {
+		t.Fatalf("trace bound %d differs from the wire bound %d", trace.MaxN, dynspread.MaxWireN)
 	}
 }
