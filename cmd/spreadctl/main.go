@@ -42,6 +42,7 @@ import (
 
 	"dynspread/internal/cluster"
 	"dynspread/internal/service"
+	"dynspread/internal/stats"
 	"dynspread/internal/store"
 	"dynspread/internal/wire"
 )
@@ -154,9 +155,13 @@ func writeResults(out string, results []wire.TrialResult) error {
 }
 
 func summarize(results []wire.TrialResult) {
-	msgs := cluster.Aggregate(results, cluster.Messages)
-	rounds := cluster.Aggregate(results, cluster.Rounds)
-	amort := cluster.Aggregate(results, cluster.AmortizedPerToken)
+	var msgCol, roundCol, amortCol []float64
+	for _, r := range results {
+		msgCol = append(msgCol, float64(r.Metrics.Messages))
+		roundCol = append(roundCol, float64(r.Rounds))
+		amortCol = append(amortCol, r.AmortizedPerToken)
+	}
+	msgs, rounds, amort := stats.Summarize(msgCol), stats.Summarize(roundCol), stats.Summarize(amortCol)
 	fmt.Fprintf(os.Stderr, "trials    %d\n", len(results))
 	fmt.Fprintf(os.Stderr, "messages  mean %.1f  median %.1f  max %.0f\n", msgs.Mean, msgs.Median, msgs.Max)
 	fmt.Fprintf(os.Stderr, "rounds    mean %.1f  median %.1f  max %.0f\n", rounds.Mean, rounds.Median, rounds.Max)

@@ -12,7 +12,7 @@
 //	  "trials": [{"n": 32, "k": 32, "algorithm": "single-source",
 //	              "adversary": "churn", "seed": 1}]
 //	}'
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v1/metrics | grep -E 'dynspread_service_(cache|jobs|queue)'
 //
 // With -peers the daemon becomes a cluster COORDINATOR instead: the API is
 // unchanged, but POST /v1/runs jobs are planned into deterministic shards
@@ -29,7 +29,9 @@
 // service, sweep-pool (or cluster), and store metrics; GET /v1/readyz gates
 // traffic (503 while submissions would be refused) while /v1/healthz stays
 // pure liveness; POST /v1/runs?stream=1 streams results as JSONL (spreadctl
-// watch/top render these live). -pprof additionally exposes /debug/pprof/.
+// watch/top render these live). With -store, POST /v1/debug/profile
+// captures CPU, execution-trace, heap, goroutine and other runtime profiles
+// of the live daemon into the store.
 //
 // Small jobs answer synchronously; large ones return 202 with a
 // /v1/jobs/{id} to poll. SIGINT/SIGTERM shut the daemon down gracefully:
@@ -45,7 +47,6 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,7 +71,6 @@ func main() {
 		peers        = flag.String("peers", "", "comma-separated spreadd worker base URLs; when set, this daemon coordinates: POST /v1/runs jobs are sharded across the peers")
 		storeDir     = flag.String("store", "", "persistent store directory: captured debug profiles always land here; in coordinator mode stored trials are also served from disk and new results appended")
 		shardSize    = flag.Int("shard-size", 0, "trials per shard in coordinator mode (0 = default)")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; see docs for the profiling recipe)")
 		traceRing    = flag.Int("trace-ring", 4096, "finished spans kept in memory for GET /v1/traces (0 disables tracing)")
 		traceLog     = flag.String("trace-log", "", "append every finished span as a JSON line to this file")
 		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
@@ -147,24 +147,9 @@ func main() {
 	}
 
 	svc := service.New(cfg)
-	handler := svc.Handler()
-	if *pprofOn {
-		// Explicit pprof routes on a wrapping mux rather than the
-		// DefaultServeMux side effect of importing net/http/pprof — nothing
-		// is exposed unless the flag asked for it.
-		root := http.NewServeMux()
-		root.HandleFunc("/debug/pprof/", pprof.Index)
-		root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		root.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		root.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		root.Handle("/", handler)
-		handler = root
-		logger.Info("pprof enabled", "path", "/debug/pprof/")
-	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -14,10 +14,9 @@ import (
 	"testing"
 
 	"dynspread"
-	"dynspread/internal/cluster"
 	"dynspread/internal/service"
+	"dynspread/internal/stats"
 	"dynspread/internal/sweep"
-	"dynspread/internal/wire"
 )
 
 // goldenSpecs converts the golden rows into wire specs (completed-only in
@@ -94,7 +93,7 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 		}
 	}
 
-	// Aggregate merge-equivalence against the sweep layer (sweep.Run is
+	// Summary merge-equivalence against the sweep layer (sweep.Run is
 	// what RunGrid executes; the golden rows are not grid-expressible, so
 	// the trial-list entry point is the apples-to-apples comparison).
 	trials := make([]sweep.Trial, len(specs))
@@ -109,17 +108,31 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type pair struct {
-		dist  func(wire.TrialResult) float64
-		local func(sweep.Result) float64
+	if len(dist) != len(sweepResults) {
+		t.Fatalf("%d distributed vs %d local results", len(dist), len(sweepResults))
 	}
-	for name, p := range map[string]pair{
-		"messages":  {cluster.Messages, sweep.Messages},
-		"rounds":    {cluster.Rounds, sweep.Rounds},
-		"tc":        {cluster.TC, sweep.TC},
-		"amortized": {cluster.AmortizedPerToken, sweep.AmortizedPerToken},
+	summarize := func(metric func(i int) float64) stats.Summary {
+		xs := make([]float64, len(dist))
+		for i := range xs {
+			xs[i] = metric(i)
+		}
+		return stats.Summarize(xs)
+	}
+	for name, p := range map[string][2]func(i int) float64{
+		"messages": {
+			func(i int) float64 { return float64(dist[i].Metrics.Messages) },
+			func(i int) float64 { return float64(sweepResults[i].Res.Metrics.Messages) }},
+		"rounds": {
+			func(i int) float64 { return float64(dist[i].Rounds) },
+			func(i int) float64 { return float64(sweepResults[i].Res.Rounds) }},
+		"tc": {
+			func(i int) float64 { return float64(dist[i].Metrics.TC) },
+			func(i int) float64 { return float64(sweepResults[i].Res.Metrics.TC) }},
+		"amortized": {
+			func(i int) float64 { return dist[i].AmortizedPerToken },
+			func(i int) float64 { return sweepResults[i].Res.Metrics.AmortizedPerToken(sweepResults[i].Trial.K) }},
 	} {
-		got, want := cluster.Aggregate(dist, p.dist), sweep.Aggregate(sweepResults, p.local)
+		got, want := summarize(p[0]), summarize(p[1])
 		if got != want {
 			t.Errorf("%s aggregates diverged:\n dist  %+v\n sweep %+v", name, got, want)
 		}

@@ -33,7 +33,6 @@ import (
 
 	"dynspread/internal/obs"
 	"dynspread/internal/service"
-	"dynspread/internal/stats"
 	"dynspread/internal/store"
 	"dynspread/internal/tracing"
 	"dynspread/internal/wire"
@@ -567,26 +566,3 @@ type deliveryError struct{ err error }
 
 func (e *deliveryError) Error() string { return e.err.Error() }
 func (e *deliveryError) Unwrap() error { return e.err }
-
-// Aggregate summarizes one metric over wire-form results — the distributed
-// counterpart of sweep.Aggregate, producing bit-identical summaries for
-// identical result sequences.
-func Aggregate(results []wire.TrialResult, metric func(wire.TrialResult) float64) stats.Summary {
-	xs := make([]float64, 0, len(results))
-	for _, r := range results {
-		xs = append(xs, metric(r))
-	}
-	return stats.Summarize(xs)
-}
-
-// Common metric extractors for Aggregate, mirroring the sweep layer's.
-var (
-	// Messages extracts the trial's total message count.
-	Messages = func(r wire.TrialResult) float64 { return float64(r.Metrics.Messages) }
-	// Rounds extracts the trial's round count.
-	Rounds = func(r wire.TrialResult) float64 { return float64(r.Rounds) }
-	// TC extracts the adversary's topological-change count.
-	TC = func(r wire.TrialResult) float64 { return float64(r.Metrics.TC) }
-	// AmortizedPerToken extracts Messages/K.
-	AmortizedPerToken = func(r wire.TrialResult) float64 { return r.AmortizedPerToken }
-)

@@ -142,15 +142,6 @@ func TestClusterDistributedMatchesLocal(t *testing.T) {
 	if int(streamed.Load()) != len(specs) {
 		t.Fatalf("streamed %d results, want %d", streamed.Load(), len(specs))
 	}
-	// Aggregates merge bit-identically too (the sweep-shaped view).
-	for name, pair := range map[string][2]float64{
-		"messages": {Aggregate(dist, Messages).Mean, Aggregate(local, Messages).Mean},
-		"rounds":   {Aggregate(dist, Rounds).Std, Aggregate(local, Rounds).Std},
-	} {
-		if pair[0] != pair[1] {
-			t.Fatalf("%s aggregate diverged: %v vs %v", name, pair[0], pair[1])
-		}
-	}
 	st := coord.Stats()
 	if st.Dispatched != int64(len(specs)) || st.Shards != 6 || st.DeadWorkers != 0 {
 		t.Fatalf("stats: %+v", st)
@@ -366,12 +357,14 @@ func TestClusterRunGridMatchesSweepRunGrid(t *testing.T) {
 		if !reflect.DeepEqual(dist[i], wire.ResultFromSweep(r)) {
 			t.Fatalf("trial %d diverged:\n dist  %+v\n local %+v", i, dist[i], wire.ResultFromSweep(r))
 		}
-	}
-	// The sweep-shaped aggregates are bit-identical as well.
-	if got, want := Aggregate(dist, Messages), sweep.Aggregate(sweepResults, sweep.Messages); got != want {
-		t.Fatalf("message aggregate diverged: %+v vs %+v", got, want)
-	}
-	if got, want := Aggregate(dist, Rounds), sweep.Aggregate(sweepResults, sweep.Rounds); got != want {
-		t.Fatalf("rounds aggregate diverged: %+v vs %+v", got, want)
+		// Checked against the sweep layer's own fields too, independently
+		// of the wire conversion.
+		d, m := dist[i], r.Res.Metrics
+		if d.Metrics.Messages != m.Messages || d.Rounds != r.Res.Rounds || d.Metrics.TC != m.TC ||
+			d.AmortizedPerToken != m.AmortizedPerToken(r.Trial.K) {
+			t.Fatalf("trial %d: dist messages/rounds/tc/amortized %d/%d/%d/%v, sweep %d/%d/%d/%v", i,
+				d.Metrics.Messages, d.Rounds, d.Metrics.TC, d.AmortizedPerToken,
+				m.Messages, r.Res.Rounds, m.TC, m.AmortizedPerToken(r.Trial.K))
+		}
 	}
 }

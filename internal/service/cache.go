@@ -8,25 +8,21 @@ import (
 	"dynspread/internal/wire"
 )
 
-// Key returns the content address of one trial (wire.Key): the SHA-256 of
-// the normalized spec's canonical JSON encoding. The key is a deterministic
-// function of the spec, and every execution is a deterministic function of
-// its spec (ROADMAP's "same inputs, same metrics"), which is what makes
-// cached results safe to serve verbatim — and what the cluster coordinator
-// and the persistent store key on too.
-func Key(spec wire.TrialSpec) string { return wire.Key(spec) }
-
-// CacheStats is the wire form of the cache counters in /v1/stats.
+// CacheStats is a snapshot of the cache counters, exported on /v1/metrics.
 type CacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
+	Hits     int64
+	Misses   int64
+	Size     int
+	Capacity int
 }
 
-// Cache is the content-addressed run cache: canonical-spec key → completed
-// trial result, LRU-bounded, safe for concurrent use. Repeated requests for
-// a spec already served cost a map lookup instead of a simulation.
+// Cache is the content-addressed run cache: wire.Key of the spec (the
+// SHA-256 of its normalized canonical JSON) → completed trial result,
+// LRU-bounded, safe for concurrent use. Every execution is a deterministic
+// function of its spec, which is what makes cached results safe to serve
+// verbatim — and what the cluster coordinator and the persistent store key
+// on too. Repeated requests for a spec already served cost a map lookup
+// instead of a simulation.
 type Cache struct {
 	hits, misses atomic.Int64
 

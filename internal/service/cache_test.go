@@ -9,13 +9,13 @@ import (
 
 func TestKeyIsDeterministicAndDiscriminating(t *testing.T) {
 	a := wire.TrialSpec{N: 16, K: 8, Algorithm: "single-source", Adversary: "churn", Seed: 1}
-	if Key(a) != Key(a) {
+	if wire.Key(a) != wire.Key(a) {
 		t.Fatal("same spec hashed to different keys")
 	}
 	// Normalization: an explicit default source count shares the entry.
 	explicit := a
 	explicit.Sources = 1
-	if Key(a) != Key(explicit) {
+	if wire.Key(a) != wire.Key(explicit) {
 		t.Fatal("sources=0 and sources=1 must share a key for classic trials")
 	}
 	distinct := []wire.TrialSpec{a}
@@ -33,7 +33,7 @@ func TestKeyIsDeterministicAndDiscriminating(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, s := range distinct {
-		k := Key(s)
+		k := wire.Key(s)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("specs %d and %d collide: %+v vs %+v", prev, i, distinct[prev], s)
 		}

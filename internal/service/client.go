@@ -313,10 +313,11 @@ func (c *Client) Rounds(ctx context.Context, id string) (JobRounds, error) {
 	return jr, err
 }
 
-// CaptureProfile asks the server to capture a pprof profile
-// (POST /v1/debug/profile): kind "cpu" or "heap", seconds bounding a CPU
-// capture's window (<= 0 selects the server default). The call blocks for
-// the capture window, so a CPU capture needs ctx (or c.Timeout) to allow at
+// CaptureProfile asks the server to capture a profile
+// (POST /v1/debug/profile): kind "cpu" or "trace" for a timed capture whose
+// window seconds bounds (<= 0 selects the server default), or a
+// runtime/pprof snapshot kind such as "heap" or "goroutine". A timed call
+// blocks for the capture window, so it needs ctx (or c.Timeout) to allow at
 // least that long; a client-side abort mid-window still stores the partial
 // capture server-side.
 func (c *Client) CaptureProfile(ctx context.Context, kind string, seconds int) (store.ProfileInfo, error) {
@@ -386,13 +387,6 @@ func (c *Client) Catalog(ctx context.Context) (Catalog, error) {
 	var cat Catalog
 	_, err := c.do(ctx, http.MethodGet, "/v1/catalog", nil, &cat)
 	return cat, err
-}
-
-// Stats fetches the server counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	_, err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
-	return st, err
 }
 
 // Health checks /v1/healthz (liveness: the process answers requests).

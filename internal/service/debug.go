@@ -8,34 +8,39 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"strconv"
 	"time"
 
 	"dynspread/internal/store"
 )
 
-// The debug plane: on-demand pprof capture. POST /v1/debug/profile captures
-// a profile of the LIVE daemon — a CPU window while a sweep is running, or a
-// heap snapshot after one — and writes the blob into the profile store
-// (store.PutProfile), where it survives restarts beside the result segments.
-// GET /v1/debug/profiles lists what has been captured; /{id} downloads one
-// blob, ready for `go tool pprof`. All three endpoints answer 503 when the
-// daemon has no store configured: a profile that vanishes with the response
-// body is not worth the capture pause.
+// The debug plane: on-demand profile capture. POST /v1/debug/profile
+// captures a profile of the LIVE daemon — a CPU window or an execution trace
+// while a sweep is running, a heap or goroutine snapshot after one — and
+// writes the blob into the profile store (store.PutProfile), where it
+// survives restarts beside the result segments. GET /v1/debug/profiles
+// lists what has been captured; /{id} downloads one blob, ready for
+// `go tool pprof` (or `go tool trace` for kind=trace). All three endpoints
+// answer 503 when the daemon has no store configured: a profile that
+// vanishes with the response body is not worth the capture pause.
 
 const (
 	defaultProfileSeconds = 5
 	// maxProfileSeconds caps ?seconds= so one request cannot pin the
-	// single CPU-profiling slot (and its 409s for everyone else) for hours.
+	// single timed-capture slot (and its 409s for everyone else) for hours.
 	maxProfileSeconds = 120
 )
 
-// handleProfileCapture serves POST /v1/debug/profile?kind=cpu|heap.
-// kind=cpu (the default) profiles for ?seconds=N wall seconds (default 5,
-// capped at 120); the runtime supports one CPU profile at a time, so a
-// second concurrent capture answers 409. kind=heap snapshots live
-// allocations after a forced GC and returns immediately. The response is
-// the stored blob's descriptor (store.ProfileInfo).
+// handleProfileCapture serves POST /v1/debug/profile?kind=K. The timed
+// kinds record for ?seconds=N wall seconds (default 5, capped at 120):
+// cpu (the default) is a CPU profile and trace a runtime execution trace.
+// They share one capture slot, so a second concurrent timed capture
+// answers 409. Every other kind is a runtime/pprof snapshot taken at once
+// — heap, allocs, goroutine, threadcreate, block or mutex (block and mutex
+// stay empty unless the process enabled their sampling) — and heap forces
+// a GC first. The response is the stored blob's descriptor
+// (store.ProfileInfo).
 func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Profiles == nil {
 		writeError(w, http.StatusServiceUnavailable, errProfilesDisabled)
@@ -47,7 +52,7 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	switch kind {
-	case "cpu":
+	case "cpu", "trace":
 		seconds := defaultProfileSeconds
 		if sp := r.URL.Query().Get("seconds"); sp != "" {
 			n, err := strconv.Atoi(sp)
@@ -60,16 +65,20 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 		if seconds > maxProfileSeconds {
 			seconds = maxProfileSeconds
 		}
+		start, stop := pprof.StartCPUProfile, pprof.StopCPUProfile
+		if kind == "trace" {
+			start, stop = trace.Start, trace.Stop
+		}
 		if !s.profiling.CompareAndSwap(false, true) {
-			writeError(w, http.StatusConflict, errors.New("service: a CPU profile capture is already in progress"))
+			writeError(w, http.StatusConflict, errors.New("service: a timed profile capture is already in progress"))
 			return
 		}
 		err := func() error {
 			defer s.profiling.Store(false)
-			if err := pprof.StartCPUProfile(&buf); err != nil {
+			if err := start(&buf); err != nil {
 				return err
 			}
-			defer pprof.StopCPUProfile()
+			defer stop()
 			select {
 			case <-time.After(time.Duration(seconds) * time.Second):
 			case <-r.Context().Done():
@@ -84,18 +93,22 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: %w", err))
 			return
 		}
-	case "heap":
-		// Collect first so the snapshot shows what is LIVE now, not garbage
-		// awaiting the next cycle — the question a heap profile answers here
-		// is "is the zero-alloc discipline holding?".
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(&buf); err != nil {
+	default:
+		p := pprof.Lookup(kind)
+		if p == nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown profile kind %q (want cpu, trace, heap, allocs, goroutine, threadcreate, block or mutex)", kind))
+			return
+		}
+		if kind == "heap" {
+			// Collect first so the snapshot shows what is LIVE now, not
+			// garbage awaiting the next cycle — the question a heap profile
+			// answers here is "is the zero-alloc discipline holding?".
+			runtime.GC()
+		}
+		if err := p.WriteTo(&buf, 0); err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: %w", err))
 			return
 		}
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown profile kind %q (want cpu or heap)", kind))
-		return
 	}
 	info, err := s.cfg.Profiles.PutProfile(kind, buf.Bytes())
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 	"dynspread/internal/obs"
 )
 
-// serverMetrics is the service layer's metric set. Counters the server
-// already maintains for /v1/stats (cache hits, queue depth, busy workers)
-// are re-exported as func-backed metrics sampled at scrape time rather than
-// double-counted; genuinely new signals (per-endpoint request counts and
+// serverMetrics is the service layer's metric set. State the server
+// already keeps (cache counters, queue depth, busy workers) is exported as
+// func-backed metrics sampled at scrape time rather than double-counted; genuinely new signals (per-endpoint request counts and
 // latencies, stream health) get their own instruments. Jobs-by-state is a
 // gauge vector refreshed by an OnScrape hook — every state's series is
 // pre-created so a scrape always shows all five, zeros included.

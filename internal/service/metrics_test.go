@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -44,26 +43,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	ctx := context.Background()
 	defer h.close(t, ctx)
 
-	scrape := func() []obs.Family {
-		t.Helper()
-		raw, err := h.client.Metrics(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fams, err := obs.ParseText(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("scrape is not valid exposition format: %v\n%s", err, raw)
-		}
-		return fams
-	}
-
-	before := scrape()
+	before := scrape(t, h)
 
 	st, err := h.client.Run(ctx, wire.RunRequest{Grid: &e2eGrid, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	during := scrape() // mid-run scrape: concurrent updates must still expose cleanly
+	during := scrape(t, h) // mid-run scrape: concurrent updates must still expose cleanly
 	if _, err := h.client.WaitJob(ctx, st.ID, 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := h.client.WaitJob(ctx, st2.ID, 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	after := scrape()
+	after := scrape(t, h)
 
 	for _, name := range requiredFamilies {
 		if obs.Find(after, name) == nil {

@@ -208,9 +208,10 @@ func TestServiceRoundsErrors(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestServiceProfileCapture: the debug profile plane end to end — capture a
-// heap and a short CPU profile, list both, download the bytes — plus the 503
-// a store-less service answers with.
+// TestServiceProfileCapture: the debug profile plane end to end — capture
+// every snapshot kind the daemon is expected to serve plus short CPU and
+// execution-trace windows, list them, download the bytes — and the 400 an
+// unknown kind answers with.
 func TestServiceProfileCapture(t *testing.T) {
 	base := runtime.NumGoroutine()
 	st, err := store.Open(t.TempDir())
@@ -221,29 +222,34 @@ func TestServiceProfileCapture(t *testing.T) {
 	h := newHarness(t, Config{JobWorkers: 1, Profiles: st})
 	ctx := context.Background()
 
-	heap, err := h.client.CaptureProfile(ctx, "heap", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heap.Kind != "heap" || heap.Bytes == 0 {
-		t.Fatalf("heap capture: %+v", heap)
-	}
-	cpu, err := h.client.CaptureProfile(ctx, "cpu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpu.Kind != "cpu" || cpu.Bytes == 0 {
-		t.Fatalf("cpu capture: %+v", cpu)
+	// Snapshot kinds return at once; cpu and trace record a 1s window.
+	captured := map[string]int64{}
+	for _, kind := range []string{"heap", "cpu", "goroutine", "allocs", "trace"} {
+		seconds := 0
+		if kind == "cpu" || kind == "trace" {
+			seconds = 1
+		}
+		info, err := h.client.CaptureProfile(ctx, kind, seconds)
+		if err != nil {
+			t.Fatalf("%s capture: %v", kind, err)
+		}
+		if info.Kind != kind || info.Bytes == 0 {
+			t.Fatalf("%s capture: %+v", kind, info)
+		}
+		captured[info.ID] = info.Bytes
 	}
 
 	list, err := h.client.Profiles(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 2 {
+	if len(list) != len(captured) {
 		t.Fatalf("profile listing: %+v", list)
 	}
 	for _, info := range list {
+		if captured[info.ID] != info.Bytes {
+			t.Fatalf("profile %s listed with %d bytes, captured %d", info.ID, info.Bytes, captured[info.ID])
+		}
 		data, err := h.client.Profile(ctx, info.ID)
 		if err != nil {
 			t.Fatalf("download %s: %v", info.ID, err)
@@ -254,10 +260,10 @@ func TestServiceProfileCapture(t *testing.T) {
 	}
 
 	// Unknown kind and unknown ID are client errors, not captures.
-	if _, err := h.client.CaptureProfile(ctx, "goroutine", 0); err == nil {
-		t.Fatal("unknown profile kind accepted")
-	}
 	var he *HTTPError
+	if _, err := h.client.CaptureProfile(ctx, "nosuchkind", 0); !errors.As(err, &he) || he.StatusCode != 400 {
+		t.Fatalf("unknown profile kind: %v", err)
+	}
 	if _, err := h.client.Profile(ctx, "profile-00000000000000000000-cpu.pprof"); !errors.As(err, &he) || he.StatusCode != 404 {
 		t.Fatalf("unknown profile download: %v", err)
 	}

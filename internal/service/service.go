@@ -6,7 +6,7 @@
 // whose workers execute trials on the context-cancellable sweep pool, and
 // return wire.TrialResult values. Because every run is a deterministic
 // function of its resolved spec, results are kept in a content-addressed
-// LRU cache (canonical-JSON key, see Key) so repeated requests cost zero
+// LRU cache (canonical-JSON key, see wire.Key) so repeated requests cost zero
 // simulation work.
 //
 // Endpoints (all under /v1):
@@ -20,15 +20,18 @@
 //	GET  /v1/jobs/{id} job status with live completed/total progress
 //	GET  /v1/jobs/{id}/stream attach a JSONL stream to a submitted job
 //	GET  /v1/jobs/{id}/rounds per-trial round series of a done recorded job
-//	POST /v1/debug/profile    capture a pprof profile (?kind=cpu|heap,
-//	                   &seconds=N for cpu) into the profile store
+//	POST /v1/debug/profile    capture a profile into the profile store:
+//	                   ?kind=cpu|trace (&seconds=N) or a runtime/pprof
+//	                   snapshot (heap, allocs, goroutine, threadcreate,
+//	                   block, mutex)
 //	GET  /v1/debug/profiles   list captured profiles; /{id} downloads one
 //	GET  /v1/catalog   registered algorithms, adversaries, and scenarios
 //	GET  /v1/healthz   pure liveness: 200 whenever the process can answer
 //	GET  /v1/readyz    readiness: 503 while submissions would be refused
 //	                   (shutdown begun or queue full), 200 otherwise
-//	GET  /v1/stats     queue depth, busy workers, job counts, cache counters
-//	GET  /v1/metrics   Prometheus text exposition (internal/obs registry)
+//	GET  /v1/metrics   Prometheus text exposition (internal/obs registry):
+//	                   queue depth, busy workers, jobs by state, cache
+//	                   counters, per-endpoint requests and latency
 //
 // Shutdown drains in-flight jobs via context cancellation: the sweep pool
 // stops dispatching new trials, in-flight trials finish, and every worker
@@ -152,16 +155,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is the body of GET /v1/stats.
-type Stats struct {
-	QueueDepth    int              `json:"queue_depth"`
-	QueueCapacity int              `json:"queue_capacity"`
-	JobWorkers    int              `json:"job_workers"`
-	BusyWorkers   int              `json:"busy_workers"`
-	JobsByState   map[JobState]int `json:"jobs_by_state"`
-	Cache         CacheStats       `json:"cache"`
-}
-
 // Server is the simulation service.
 type Server struct {
 	cfg     Config
@@ -174,9 +167,9 @@ type Server struct {
 	cancel context.CancelFunc
 	quit   chan struct{}
 	queue  chan *job
-	// profiling serializes CPU profile captures: the runtime supports one
-	// StartCPUProfile at a time, so concurrent POST /v1/debug/profile?kind=cpu
-	// requests beyond the first answer 409.
+	// profiling serializes timed captures (kind=cpu and kind=trace): the
+	// runtime runs one CPU profile and one execution trace at a time, so a
+	// timed POST /v1/debug/profile while another is open answers 409.
 	profiling atomic.Bool
 	// syncSem bounds inline (synchronous) job execution to JobWorkers slots
 	// so a burst of small POSTs cannot oversubscribe the host: when no slot
@@ -280,7 +273,7 @@ func (s *Server) runJob(j *job) {
 		missByKey = map[string][]int{}
 	)
 	for i, spec := range j.specs {
-		key := Key(spec)
+		key := wire.Key(spec)
 		if record == nil {
 			if res, ok := s.cache.Get(key); ok {
 				j.deliver(i, res)
@@ -456,24 +449,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Stats snapshots the server counters.
-func (s *Server) Stats() Stats {
-	byState := map[JobState]int{}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		byState[j.Status().State]++
-	}
-	s.mu.Unlock()
-	return Stats{
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		JobWorkers:    s.cfg.JobWorkers,
-		BusyWorkers:   int(s.busy.Load()),
-		JobsByState:   byState,
-		Cache:         s.cache.Stats(),
-	}
-}
-
 // Handler returns the /v1 API mux. Every route is instrumented with
 // request-count and latency metrics keyed by its pattern (see route).
 func (s *Server) Handler() http.Handler {
@@ -486,7 +461,6 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "GET /v1/catalog", "/v1/catalog", s.handleCatalog)
 	s.route(mux, "GET /v1/healthz", "/v1/healthz", s.handleHealthz)
 	s.route(mux, "GET /v1/readyz", "/v1/readyz", s.handleReadyz)
-	s.route(mux, "GET /v1/stats", "/v1/stats", s.handleStats)
 	s.route(mux, "GET /v1/metrics", "/v1/metrics", s.handleMetrics)
 	s.route(mux, "GET /v1/traces/{id}", "/v1/traces/{id}", s.handleTrace)
 	s.route(mux, "POST /v1/debug/profile", "/v1/debug/profile", s.handleProfileCapture)
@@ -714,10 +688,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, readyBody{Status: "ready"})
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // Catalog is the body of GET /v1/catalog: every registered component, each

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dynspread/internal/obs"
 	"dynspread/internal/wire"
 )
 
@@ -56,6 +59,35 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), want, buf[:n])
 }
 
+// scrape reads /v1/metrics and parses it strictly.
+func scrape(t *testing.T, h *harness) []obs.Family {
+	t.Helper()
+	raw, err := h.client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("scrape is not valid exposition format: %v\n%s", err, raw)
+	}
+	return fams
+}
+
+// metricValue returns the sample of family name with exactly labels,
+// failing the test when the scrape lacks it.
+func metricValue(t *testing.T, fams []obs.Family, name string, labels map[string]string) float64 {
+	t.Helper()
+	f := obs.Find(fams, name)
+	if f == nil {
+		t.Fatalf("family %s missing from scrape", name)
+	}
+	v, ok := f.Value(labels)
+	if !ok {
+		t.Fatalf("family %s has no series %v", name, labels)
+	}
+	return v
+}
+
 var e2eGrid = wire.GridSpec{
 	Ns:          []int{12},
 	Ks:          []int{8},
@@ -66,7 +98,8 @@ var e2eGrid = wire.GridSpec{
 
 // TestServiceE2E is the acceptance flow: the same sweep submitted twice
 // returns identical results with the second response served from the cache
-// (verified via the response counters and /v1/stats), and shutdown drains
+// (verified via the response counters and a /v1/metrics scrape), and
+// shutdown drains
 // without leaking goroutines.
 func TestServiceE2E(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -116,15 +149,23 @@ func TestServiceE2E(t *testing.T) {
 	if !reflect.DeepEqual(firstDone.Results, secondDone.Results) {
 		t.Fatal("second sweep's results differ from the first")
 	}
-	stats, err := h.client.Stats(ctx)
+	fams := scrape(t, h)
+	hits := metricValue(t, fams, "dynspread_service_cache_hits_total", nil)
+	size := metricValue(t, fams, "dynspread_service_cache_size", nil)
+	if hits < float64(total) || size != float64(total) {
+		t.Fatalf("metrics disagree with the cache hit: hits %v, size %v, want >= %d and %d", hits, size, total, total)
+	}
+	if done := metricValue(t, fams, "dynspread_service_jobs", map[string]string{"state": string(JobDone)}); done != 2 {
+		t.Fatalf("jobs in state done = %v, want 2", done)
+	}
+	// The counters live on /v1/metrics only.
+	resp, err := h.hs.Client().Get(h.hs.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Cache.Hits < int64(total) || stats.Cache.Size != total {
-		t.Fatalf("stats disagree with the cache hit: %+v", stats.Cache)
-	}
-	if stats.JobsByState[JobDone] != 2 {
-		t.Fatalf("jobs by state: %+v", stats.JobsByState)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats = %d, want 404", resp.StatusCode)
 	}
 
 	h.close(t, ctx)
@@ -274,12 +315,8 @@ func TestServiceDeduplicatesWithinJob(t *testing.T) {
 	if !reflect.DeepEqual(st.Results[0], st.Results[1]) || !reflect.DeepEqual(st.Results[0], st.Results[2]) {
 		t.Fatal("duplicate specs got different results")
 	}
-	stats, err := h.client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cache.Size != 1 {
-		t.Fatalf("3 duplicate specs filled %d cache entries, want 1", stats.Cache.Size)
+	if size := metricValue(t, scrape(t, h), "dynspread_service_cache_size", nil); size != 1 {
+		t.Fatalf("3 duplicate specs filled %v cache entries, want 1", size)
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -11,44 +10,45 @@ import (
 	"dynspread/internal/token"
 )
 
-func trialOf(t *testing.T, seed int64) Trial {
-	t.Helper()
-	return func() (*Result, error) {
-		assign, err := token.SingleSource(6, 3, 0)
-		if err != nil {
-			return nil, err
-		}
-		return RunUnicast(UnicastConfig{
-			Assign:    assign,
-			Factory:   newPushProto,
-			Adversary: staticAdv{graph.Cycle(6)},
-			Seed:      seed,
-		})
+func runSeed(seed int64) (*Result, error) {
+	assign, err := token.SingleSource(6, 3, 0)
+	if err != nil {
+		return nil, err
 	}
+	return RunUnicast(UnicastConfig{
+		Assign:    assign,
+		Factory:   newPushProto,
+		Adversary: staticAdv{graph.Cycle(6)},
+		Seed:      seed,
+	})
 }
 
-func TestRunParallelOrderAndResults(t *testing.T) {
-	trials := make([]Trial, 8)
-	for i := range trials {
-		trials[i] = trialOf(t, int64(i))
-	}
-	results, err := RunParallel(trials, 4)
+// runSeeds runs seeds 0..n-1 on ForEach, storing each result at its index.
+func runSeeds(t *testing.T, n, workers int) []*Result {
+	t.Helper()
+	results := make([]*Result, n)
+	i, err := ForEach(n, workers, func() func(i int) error {
+		return func(i int) error {
+			var err error
+			results[i], err = runSeed(int64(i))
+			return err
+		}
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("index %d: %v", i, err)
 	}
-	if len(results) != 8 {
-		t.Fatalf("got %d results", len(results))
-	}
+	return results
+}
+
+func TestForEachOrderAndResults(t *testing.T) {
+	results := runSeeds(t, 8, 4)
 	for i, r := range results {
 		if r == nil || !r.Completed {
 			t.Fatalf("trial %d: %+v", i, r)
 		}
 	}
-	// Determinism: same seeds via sequential run must agree.
-	seq, err := RunParallel(trials, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Determinism: the same seeds on one worker must agree index by index.
+	seq := runSeeds(t, 8, 1)
 	for i := range seq {
 		if seq[i].Metrics != results[i].Metrics {
 			t.Fatalf("trial %d differs between parallel and sequential", i)
@@ -56,32 +56,29 @@ func TestRunParallelOrderAndResults(t *testing.T) {
 	}
 }
 
-func TestRunParallelErrorPropagates(t *testing.T) {
-	trials := []Trial{
-		trialOf(t, 1),
-		func() (*Result, error) { return nil, fmt.Errorf("boom") },
-		trialOf(t, 2),
-	}
-	_, err := RunParallel(trials, 3)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+func TestForEachErrorPropagates(t *testing.T) {
+	i, err := ForEach(3, 3, func() func(i int) error {
+		return func(i int) error {
+			if i == 1 {
+				return fmt.Errorf("boom")
+			}
+			_, err := runSeed(int64(i))
+			return err
+		}
+	})
+	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v", err)
 	}
-	if !strings.Contains(err.Error(), "trial 1") {
-		t.Fatalf("error does not identify the trial: %v", err)
+	if i != 1 {
+		t.Fatalf("failing index = %d, want 1", i)
 	}
 }
 
-func TestRunParallelNilTrial(t *testing.T) {
-	if _, err := RunParallel([]Trial{nil}, 2); err == nil {
-		t.Fatal("nil trial accepted")
-	}
-}
-
-func TestRunParallelDefaultsToGOMAXPROCS(t *testing.T) {
+func TestForEachDefaultsToGOMAXPROCS(t *testing.T) {
 	var peak, cur int64
-	trials := make([]Trial, 2*runtime.GOMAXPROCS(0)+4)
-	for i := range trials {
-		trials[i] = func() (*Result, error) {
+	n := 2*runtime.GOMAXPROCS(0) + 4
+	_, err := ForEach(n, 0, func() func(i int) error { // defaults to GOMAXPROCS
+		return func(int) error {
 			c := atomic.AddInt64(&cur, 1)
 			for {
 				p := atomic.LoadInt64(&peak)
@@ -89,33 +86,37 @@ func TestRunParallelDefaultsToGOMAXPROCS(t *testing.T) {
 					break
 				}
 			}
-			defer atomic.AddInt64(&cur, -1)
-			return &Result{Completed: true}, nil
+			atomic.AddInt64(&cur, -1)
+			return nil
 		}
-	}
-	if _, err := RunParallel(trials, 0); err != nil { // defaults to GOMAXPROCS
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, limit := atomic.LoadInt64(&peak), int64(runtime.GOMAXPROCS(0)); got < 1 || got > limit {
 		t.Fatalf("peak concurrency %d outside [1, GOMAXPROCS=%d]", got, limit)
 	}
-	if _, err := RunParallel(nil, 4); err != nil {
-		t.Fatal(err)
+	if i, err := ForEach(0, 4, func() func(i int) error { return func(int) error { return nil } }); i != -1 || err != nil {
+		t.Fatalf("empty run: %d, %v", i, err)
 	}
 }
 
-func TestRunParallelStopsDispatchingAfterError(t *testing.T) {
+func TestForEachStopsDispatchingAfterError(t *testing.T) {
 	var ran atomic.Int64
-	trials := []Trial{
-		func() (*Result, error) { return nil, fmt.Errorf("boom") },
-		func() (*Result, error) { ran.Add(1); return &Result{Completed: true}, nil },
-		func() (*Result, error) { ran.Add(1); return &Result{Completed: true}, nil },
-	}
-	// One worker: after trial 0 fails, trials 1 and 2 must never start.
-	if _, err := RunParallel(trials, 1); err == nil {
+	// One worker: after index 0 fails, indices 1 and 2 must never start.
+	_, err := ForEach(3, 1, func() func(i int) error {
+		return func(i int) error {
+			if i == 0 {
+				return fmt.Errorf("boom")
+			}
+			ran.Add(1)
+			return nil
+		}
+	})
+	if err == nil {
 		t.Fatal("expected error")
 	}
 	if n := ran.Load(); n != 0 {
-		t.Fatalf("%d trials dispatched after the first error", n)
+		t.Fatalf("%d indices dispatched after the first error", n)
 	}
 }

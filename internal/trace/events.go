@@ -1,8 +1,6 @@
-package trace
-
-// Dynamic-topology traces: a GraphTrace records one execution's per-round
-// edge events (insertions and deletions relative to the previous round,
-// starting from the paper's empty graph G_0) and serializes as JSONL — one
+// Package trace holds dynamic-topology traces: a GraphTrace records one
+// execution's per-round edge events (insertions and deletions relative to
+// the previous round, starting from the paper's empty graph G_0) and serializes as JSONL — one
 // header line carrying the node count, then one line per round. A recorded
 // trace replayed through the trace-replay dynamics reproduces the exact
 // graph sequence of the original run, which makes any execution — including
@@ -10,6 +8,7 @@ package trace
 // reproducible and shareable as a flat file. The same format expresses real
 // temporal-graph datasets: anything that can be written as timestamped edge
 // events can be replayed as a workload.
+package trace
 
 import (
 	"bufio"

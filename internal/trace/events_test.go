@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,4 +112,48 @@ func TestReadRejectsCorruptTraces(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadGraphTrace checks that the decoder never panics on arbitrary input
+// and that every trace it accepts survives a Write/ReadGraphTrace round trip
+// unchanged.
+func FuzzReadGraphTrace(f *testing.F) {
+	const hdr = `{"format":"dynspread-graph-trace","version":1,"n":4}` + "\n"
+	f.Add(hdr + `{"r":1,"add":[[0,1],[1,2]]}` + "\n" +
+		`{"r":2,"add":[[2,3]],"del":[[0,1]]}` + "\n" +
+		`{"r":3,"del":[[1,2]]}` + "\n")
+	f.Add(`{"format":"dynspread-graph-trace","version":1,"n":1099511627776}` + "\n")
+	f.Add(`{"format":"dynspread-graph-trace","version":1,"n":-3}` + "\n")
+	f.Add(hdr + `{"r":1,"add":[[0,9]]}` + "\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadGraphTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		back, err := ReadGraphTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v\n%s", err, buf.String())
+		}
+		if !sameTrace(tr, back) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
+		}
+	})
+}
+
+// sameTrace compares two traces, treating nil and empty event lists alike
+// (Write omits both).
+func sameTrace(a, b *GraphTrace) bool {
+	if a.N != b.N || len(a.Rounds) != len(b.Rounds) {
+		return false
+	}
+	for i := range a.Rounds {
+		if !slices.Equal(a.Rounds[i].Add, b.Rounds[i].Add) || !slices.Equal(a.Rounds[i].Del, b.Rounds[i].Del) {
+			return false
+		}
+	}
+	return true
 }
