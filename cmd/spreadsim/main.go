@@ -138,12 +138,12 @@ func main() {
 		res, err = runRemote(cfg, *remote)
 	} else if *record != "" {
 		var tr *dynspread.GraphTrace
-		res, tr, err = dynspread.RunFullRecorded(cfg)
+		res, tr, err = dynspread.RunRecorded(cfg)
 		if err == nil {
 			err = writeTrace(*record, tr)
 		}
 	} else {
-		res, err = dynspread.RunFull(cfg)
+		res, err = dynspread.Run(cfg)
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -160,23 +160,18 @@ func main() {
 		return
 	}
 
-	if *scen != "" {
-		fmt.Printf("scenario       %s\n", *scen)
+	// Local and remote runs both return the RESOLVED trial, so the report
+	// names what actually ran, scenario defaults included.
+	t := res.Trial
+	if t.Scenario != "" {
+		fmt.Printf("scenario       %s\n", t.Scenario)
 	}
-	algName := *alg
-	if *scen != "" && !flagSet["alg"] {
-		algName = "(scenario default)"
-	}
-	fmt.Printf("algorithm      %s\n", algName)
+	fmt.Printf("algorithm      %s\n", t.Algorithm)
 	fmt.Printf("adversary      %s\n", res.Adversary)
 	if *remote != "" {
 		fmt.Printf("executed on    %s\n", *remote)
 	}
-	if *scen == "" {
-		fmt.Printf("instance       n=%d k=%d s=%d seed=%d\n", *n, *k, *s, *seed)
-	} else {
-		fmt.Printf("instance       seed=%d\n", *seed)
-	}
+	fmt.Printf("instance       n=%d k=%d s=%d seed=%d\n", t.N, t.K, t.Sources, t.Seed)
 	fmt.Printf("completed      %v in %d rounds\n", res.Completed, res.Rounds)
 	m := res.Metrics
 	fmt.Printf("messages       %d (tokens %d, requests %d, completeness %d, walks %d, control %d)\n",

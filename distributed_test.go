@@ -94,7 +94,7 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 	}
 
 	// Summary merge-equivalence against the sweep layer (sweep.Run is
-	// what RunGrid executes; the golden rows are not grid-expressible, so
+	// what sweep.RunGrid executes; the golden rows are not grid-expressible, so
 	// the trial-list entry point is the apples-to-apples comparison).
 	trials := make([]sweep.Trial, len(specs))
 	for i, s := range specs {

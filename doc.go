@@ -101,10 +101,10 @@
 // through Config.Replay for bit-exact reproduction. For thousands of
 // trials, use internal/sweep's grids instead of calling Run in a loop; to
 // serve simulations over HTTP with result caching, run cmd/spreadd (see
-// the README's curl quickstart). RunFull and RunSpecs produce the service's
-// machine-readable TrialResult schema in-process; RunDistributed executes
-// the same requests across a pool of spreadd workers (see the README's
-// cluster quickstart and cmd/spreadctl).
+// the README's curl quickstart). Run returns the service's machine-readable
+// TrialResult schema, and RunSpecs runs wire-form trials in-process;
+// RunDistributed executes the same requests across a pool of spreadd
+// workers (see the README's cluster quickstart and cmd/spreadctl).
 //
 // See the examples/ directory for runnable scenarios and cmd/ for the CLI
 // tools (spreadsim -list prints every registered component).

@@ -153,104 +153,50 @@ type Config struct {
 	Workspace *sim.Workspace
 	// Recorder, if non-nil, attaches a flight recorder sampling per-round
 	// dynamics into its preallocated ring (see sim.NewRecorder); the run's
-	// snapshot lands on Report.Flight. Like Workspace it is reusable across
-	// sequential runs (each run resets it) but not concurrency-safe.
+	// samples come back on TrialResult.RoundSeries (decode them with its
+	// Samples method). Like Workspace it is reusable across sequential runs
+	// (each run resets it) but not concurrency-safe.
 	Recorder *sim.Recorder
 }
 
-// Report is the outcome of one simulation.
-type Report struct {
-	// Completed is true iff every node received every token.
-	Completed bool `json:"completed"`
-	// Rounds is the number of rounds executed.
-	Rounds int `json:"rounds"`
-	// Metrics holds the communication-cost measures.
-	Metrics Metrics `json:"metrics"`
-	// Amortized is Metrics.Messages / K, the paper's amortized message
-	// complexity per token.
-	Amortized float64 `json:"amortized_per_token"`
-	// CompetitiveResidual is Messages − 1·TC(E), the 1-adversary-competitive
-	// residual of Definition 1.3.
-	CompetitiveResidual float64 `json:"competitive_residual"`
-	// AdversaryName identifies the concrete adversary used.
-	AdversaryName string `json:"adversary"`
-	// Flight is the flight recorder's snapshot of the run's per-round
-	// dynamics; nil unless Config.Recorder was set.
-	Flight *sim.RecorderSnapshot `json:"flight,omitempty"`
-}
+// Run executes one simulation described by cfg and returns the
+// service-schema result: the RESOLVED trial (scenario names expanded into
+// their concrete shape, algorithm, dynamics, and arrival schedule) paired
+// with the engine metrics and the paper's derived cost measures — the same
+// JSON object the spreadd service returns per trial and spreadsim -json
+// prints. Scenarios, algorithms, and adversaries are resolved by name
+// through their registries (via the sweep layer's single trial runner), so
+// components registered by other packages work here too.
+func Run(cfg Config) (*TrialResult, error) { return run(cfg, nil) }
 
-// Run executes one simulation described by cfg. Scenarios, algorithms, and
-// adversaries are resolved by name through their registries (via the sweep
-// layer's single trial runner), so components registered by other packages
-// work here too.
-func Run(cfg Config) (*Report, error) {
-	r, err := run(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return report(r), nil
-}
-
-// RunFull executes one simulation and returns the service-schema result:
-// the RESOLVED trial (scenario names expanded into their concrete shape,
-// algorithm, dynamics, and arrival schedule) paired with the engine
-// metrics — the same JSON object the spreadd service returns per trial and
-// spreadsim -json prints.
-func RunFull(cfg Config) (*TrialResult, error) {
-	r, err := run(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	tr := wire.ResultFromSweep(r)
-	return &tr, nil
-}
-
-// RunRecorded executes one simulation and additionally records its dynamics
-// as a replayable GraphTrace: running the same Config with Replay set to the
+// RunRecorded is Run that additionally records the run's dynamics as a
+// replayable GraphTrace: running the same Config with Replay set to the
 // returned trace (live adversary replaced by the recording) reproduces the
 // execution — including its Metrics — exactly.
-func RunRecorded(cfg Config) (*Report, *GraphTrace, error) {
-	r, tr, err := runRecorded(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return report(r), tr, nil
-}
-
-// RunFullRecorded is RunRecorded with the service-schema result of RunFull.
-func RunFullRecorded(cfg Config) (*TrialResult, *GraphTrace, error) {
-	r, gt, err := runRecorded(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := wire.ResultFromSweep(r)
-	return &res, gt, nil
-}
-
-func runRecorded(cfg Config) (sweep.Result, *GraphTrace, error) {
+func RunRecorded(cfg Config) (*TrialResult, *GraphTrace, error) {
 	var b *trace.Builder
-	r, err := run(cfg, func(_ int, g *graph.Graph) {
+	res, err := run(cfg, func(_ int, g *graph.Graph) {
 		if b == nil {
 			b = trace.NewBuilder(g.N())
 		}
 		b.Observe(g)
 	})
 	if err != nil {
-		return r, nil, err
+		return nil, nil, err
 	}
 	if b == nil { // degenerate zero-round completion
-		return r, &GraphTrace{N: r.Trial.N}, nil
+		return res, &GraphTrace{N: res.Trial.N}, nil
 	}
-	return r, b.Trace(), nil
+	return res, b.Trace(), nil
 }
 
-func run(cfg Config, onGraph func(r int, g *graph.Graph)) (sweep.Result, error) {
+func run(cfg Config, onGraph func(r int, g *graph.Graph)) (*TrialResult, error) {
 	if cfg.Scenario == "" {
 		if cfg.N < 2 {
-			return sweep.Result{}, fmt.Errorf("dynspread: need N >= 2, got %d", cfg.N)
+			return nil, fmt.Errorf("dynspread: need N >= 2, got %d", cfg.N)
 		}
 		if cfg.K < 1 {
-			return sweep.Result{}, fmt.Errorf("dynspread: need K >= 1, got %d", cfg.K)
+			return nil, fmt.Errorf("dynspread: need K >= 1, got %d", cfg.K)
 		}
 	}
 	algName := string(cfg.Algorithm)
@@ -286,20 +232,8 @@ func run(cfg Config, onGraph func(r int, g *graph.Graph)) (sweep.Result, error) 
 		OnGraph:   onGraph,
 	}, cfg.Workspace, cfg.Recorder)
 	if err != nil {
-		return r, fmt.Errorf("dynspread: %w", err)
+		return nil, fmt.Errorf("dynspread: %w", err)
 	}
-	return r, nil
-}
-
-func report(r sweep.Result) *Report {
-	res := r.Res
-	return &Report{
-		Completed:           res.Completed,
-		Rounds:              res.Rounds,
-		Metrics:             res.Metrics,
-		Amortized:           res.Metrics.AmortizedPerToken(r.Trial.K),
-		CompetitiveResidual: res.Metrics.Competitive(1),
-		AdversaryName:       r.AdversaryName,
-		Flight:              r.Rounds,
-	}
+	res := wire.ResultFromSweep(r)
+	return &res, nil
 }

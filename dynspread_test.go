@@ -2,8 +2,11 @@ package dynspread
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dynspread/internal/sim"
 )
 
 func TestRunSingleSourceChurn(t *testing.T) {
@@ -19,14 +22,14 @@ func TestRunSingleSourceChurn(t *testing.T) {
 	if !rep.Completed {
 		t.Fatalf("incomplete: %+v", rep)
 	}
-	if rep.Amortized <= 0 || rep.Metrics.Messages == 0 {
+	if rep.AmortizedPerToken <= 0 || rep.Metrics.Messages == 0 {
 		t.Fatalf("bad report: %+v", rep)
 	}
 	if rep.CompetitiveResidual != float64(rep.Metrics.Messages)-float64(rep.Metrics.TC) {
 		t.Fatal("competitive residual mismatch")
 	}
-	if !strings.Contains(rep.AdversaryName, "churn") {
-		t.Fatalf("adversary name = %q", rep.AdversaryName)
+	if !strings.Contains(rep.Adversary, "churn") {
+		t.Fatalf("adversary name = %q", rep.Adversary)
 	}
 }
 
@@ -127,7 +130,7 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestReportJSONRoundTrip(t *testing.T) {
+func TestTrialResultJSONRoundTrip(t *testing.T) {
 	rep, err := Run(Config{N: 8, K: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +144,48 @@ func TestReportJSONRoundTrip(t *testing.T) {
 			t.Fatalf("JSON missing %s: %s", key, raw)
 		}
 	}
-	var back Report
+	var back TrialResult
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Metrics != rep.Metrics || back.Rounds != rep.Rounds {
 		t.Fatal("round trip lost data")
+	}
+}
+
+// TestRunRecorderRoundSeries: a run with Config.Recorder set returns the
+// recorder's samples on TrialResult.RoundSeries, decoding exactly to the
+// recorder's own snapshot, in both engine modes; without a recorder the
+// series is absent.
+func TestRunRecorderRoundSeries(t *testing.T) {
+	for _, cfg := range []Config{
+		{N: 8, K: 64, Algorithm: AlgTopkis, Adversary: AdvStatic, Seed: 7},
+		{N: 8, K: 16, Sources: 8, Algorithm: AlgFlooding, Adversary: AdvStatic, Seed: 7},
+	} {
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Algorithm, err)
+		}
+		if plain.RoundSeries != nil {
+			t.Fatalf("%s: round series without a recorder", cfg.Algorithm)
+		}
+		rec := sim.NewRecorder(sim.RecorderConfig{Stride: 1})
+		cfg.Recorder = rec
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Algorithm, err)
+		}
+		want := rec.Snapshot().Samples
+		if len(want) != res.Rounds || res.RoundSeries.Len() != len(want) {
+			t.Fatalf("%s: %d rounds, %d snapshot samples, %d series samples",
+				cfg.Algorithm, res.Rounds, len(want), res.RoundSeries.Len())
+		}
+		if got := res.RoundSeries.Samples(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: round series diverged from the recorder snapshot:\n%+v\n%+v", cfg.Algorithm, got, want)
+		}
+		if res.Metrics != plain.Metrics || res.Rounds != plain.Rounds {
+			t.Fatalf("%s: recording changed the run: %+v vs %+v", cfg.Algorithm, res.Metrics, plain.Metrics)
+		}
 	}
 }
 

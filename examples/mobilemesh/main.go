@@ -48,11 +48,11 @@ func main() {
 			log.Fatal(err)
 		}
 		if !rep.Completed {
-			log.Fatalf("%s on %s: incomplete after %d rounds", c.name, rep.AdversaryName, rep.Rounds)
+			log.Fatalf("%s on %s: incomplete after %d rounds", c.name, rep.Adversary, rep.Rounds)
 		}
 		fmt.Printf("%-24s %-26s %8d %10d %12.1f %10d\n",
-			c.name, rep.AdversaryName, rep.Rounds, rep.Metrics.Messages,
-			rep.Amortized, rep.Metrics.TC)
+			c.name, rep.Adversary, rep.Rounds, rep.Metrics.Messages,
+			rep.AmortizedPerToken, rep.Metrics.TC)
 	}
 
 	fmt.Println()

@@ -228,15 +228,6 @@ func (c *Coordinator) recordSuccess(w int) {
 	c.metrics.healthy(w)
 }
 
-// RunGrid expands a grid and runs it distributed; see Run.
-func (c *Coordinator) RunGrid(ctx context.Context, g wire.GridSpec, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error) {
-	specs, err := g.Trials()
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(ctx, specs, onResult)
-}
-
 // RunSpecs adapts the coordinator to the service layer's Runner signature,
 // which is how a coordinator-mode spreadd shards POST /v1/runs jobs
 // transparently: the service's queueing/caching/progress machinery calls

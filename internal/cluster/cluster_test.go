@@ -332,12 +332,16 @@ func TestClusterDedupAcrossDuplicates(t *testing.T) {
 	}
 }
 
-// TestClusterRunGridMatchesSweepRunGrid: the grid entry point merges
-// bit-identical to sweep.RunGrid over the equivalent grid.
-func TestClusterRunGridMatchesSweepRunGrid(t *testing.T) {
+// TestClusterGridMatchesSweepRunGrid: a grid's expanded specs, run
+// distributed, merge bit-identical to sweep.RunGrid over the equivalent grid.
+func TestClusterGridMatchesSweepRunGrid(t *testing.T) {
 	w1, w2 := newWorker(t), newWorker(t)
 	coord, _ := New(Config{Workers: []string{w1.URL, w2.URL}, ShardSize: 4, Poll: 5 * time.Millisecond})
-	dist, err := coord.RunGrid(context.Background(), testGrid, nil)
+	specs, err := testGrid.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := coord.Run(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

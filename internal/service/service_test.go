@@ -186,8 +186,8 @@ func TestServiceSyncRunsAndSpreadsimSchema(t *testing.T) {
 		t.Fatalf("sync run: %+v", st)
 	}
 	// The service's per-trial schema is exactly what an in-process
-	// wire.RunSpecs (and therefore the facade's RunFull and spreadsim
-	// -json, which delegate to it) produces.
+	// wire.RunSpecs (and therefore the facade's Run and spreadsim -json,
+	// which share its wire.ResultFromSweep conversion) produces.
 	local, err := wire.RunSpecs(ctx, []wire.TrialSpec{spec}, 1, nil)
 	if err != nil {
 		t.Fatal(err)

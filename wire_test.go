@@ -156,16 +156,16 @@ func TestRunSpecsMatchesRunAndStreamsProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Metrics != rep.Metrics || results[0].Rounds != rep.Rounds {
-		t.Fatalf("RunSpecs diverged from Run:\n%+v\n%+v", results[0].Metrics, rep.Metrics)
+	if !reflect.DeepEqual(results[0], *rep) {
+		t.Fatalf("RunSpecs diverged from Run:\n%+v\n%+v", results[0], *rep)
 	}
 	if !reflect.DeepEqual(results[0].Trial, results[1].Trial) {
 		t.Fatalf("identical specs resolved differently")
 	}
 }
 
-func TestRunFullResolvesScenario(t *testing.T) {
-	res, err := dynspread.RunFull(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 1})
+func TestRunResolvesScenario(t *testing.T) {
+	res, err := dynspread.Run(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRunFullResolvesScenario(t *testing.T) {
 // TrialResult carries (scenario expanded into its concrete shape) must be
 // accepted verbatim as a new request and reproduce the same execution.
 func TestResolvedSpecRoundTrips(t *testing.T) {
-	orig, err := dynspread.RunFull(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 5})
+	orig, err := dynspread.Run(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,20 +219,20 @@ func TestResolvedSpecRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRunFullRecordedReplayReproduces(t *testing.T) {
+func TestRunRecordedReplayReproduces(t *testing.T) {
 	cfg := dynspread.Config{
 		N: 10, K: 6,
 		Algorithm: dynspread.AlgSingleSource,
 		Adversary: dynspread.AdvChurn,
 		Seed:      11,
 	}
-	orig, gt, err := dynspread.RunFullRecorded(cfg)
+	orig, gt, err := dynspread.RunRecorded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Adversary = ""
 	cfg.Replay = gt
-	replayed, err := dynspread.RunFull(cfg)
+	replayed, err := dynspread.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
