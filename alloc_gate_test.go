@@ -18,6 +18,7 @@ import (
 	"dynspread/internal/bitset"
 	"dynspread/internal/bitset/adaptive"
 	"dynspread/internal/core"
+	"dynspread/internal/registry"
 	"dynspread/internal/sim"
 )
 
@@ -112,6 +113,47 @@ func TestAllocGateObliviousWalkRound(t *testing.T) {
 		Seed:      7,
 		Oblivious: core.ObliviousOpts{ForceTwoPhase: true, CF: 0.01, Phase1Cap: 1000},
 	}, 100, 200)
+}
+
+// TestAllocGateDynamicRound: every registered adversary, in each mode it
+// serves, must wire its steady-state rounds with zero allocations — Topkis
+// for unicast, flooding for broadcast. This covers the adversary's graph
+// generation (round graphs come from a two-slot ring and every generator
+// keeps its scratch) and the engine's per-graph work on a graph it has not
+// seen before: the connectivity check, the TC diff and the flattened
+// neighbor lists.
+//
+// The gate does not run under the race detector: there sync.Pool drops
+// items at random, so the per-run allocations of the fmt calls that name
+// these adversaries differ from run to run and the differential is no
+// longer exact.
+func TestAllocGateDynamicRound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	modes := []struct {
+		mode registry.Mode
+		alg  dynspread.Algorithm
+	}{
+		{registry.Unicast, dynspread.AlgTopkis},
+		{registry.Broadcast, dynspread.AlgFlooding},
+	}
+	for _, adv := range registry.Adversaries() {
+		for _, m := range modes {
+			if !adv.Modes.Has(m.mode) {
+				continue
+			}
+			name := adv.Name + "/" + string(m.alg)
+			t.Run(name, func(t *testing.T) {
+				gate(t, name, dynspread.Config{
+					N: 8, K: 512,
+					Algorithm: m.alg,
+					Adversary: dynspread.Adversary(adv.Name),
+					Seed:      7,
+				}, 100, 200)
+			})
+		}
+	}
 }
 
 // --- ns/round regression gates ---

@@ -14,15 +14,46 @@ import (
 // only on the generator's own construction (seed) and on r, never on the
 // execution. The engine calls it once per round in increasing round order.
 //
-// A graph returned by Graph must never be mutated afterwards — the engine
-// retains it and diffs consecutive rounds by pointer identity for the TC
-// accounting. Generators that evolve a graph in place (churn, the request
-// cutter) must serve clones; only a generator whose graph truly never
-// changes may re-serve the same object (and is then, correctly, charged
-// zero topological changes).
+// The graph returned for round r stays unchanged until the sequence is asked
+// for round r+2 (the contract of sim.Adversary.NextGraph): the engine reads
+// it in round r and as view.Prev in round r+1. The dynamic generators
+// therefore serve from a two-slot ring; a caller that keeps a graph longer
+// must Clone it. Only a generator whose graph truly never changes (static)
+// re-serves one object, and is then charged zero topological changes
+// without a diff.
 type Sequence interface {
 	Name() string
 	Graph(r int) *graph.Graph
+}
+
+// ring is the two-slot graph buffer the dynamic generators serve from:
+// round r's graph is written into the slot that held round r−2's, so a
+// served graph stays unchanged for exactly the two rounds the engine reads
+// it, and steady-state rounds allocate no graphs. Each slot is created on
+// first use, so round 1 allocates one graph, as a per-round New did.
+type ring struct {
+	slots [2]*graph.Graph
+	cur   int
+}
+
+// next returns the next round's slot, emptied.
+func (r *ring) next(n int) *graph.Graph {
+	r.cur ^= 1
+	g := r.slots[r.cur]
+	if g == nil || g.N() != n {
+		g = graph.New(n)
+		r.slots[r.cur] = g
+	}
+	g.Clear()
+	return g
+}
+
+// copyOf returns the next round's slot holding a copy of g — how a
+// generator that evolves one graph in place serves it.
+func (r *ring) copyOf(g *graph.Graph) *graph.Graph {
+	s := r.next(g.N())
+	s.CopyFrom(g)
+	return s
 }
 
 // obliviousUnicast adapts a Sequence to sim.Adversary. By construction it

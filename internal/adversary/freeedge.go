@@ -37,6 +37,9 @@ type FreeEdge struct {
 	prevPhi       int64
 	pendingSparse bool
 	pendingComps  int
+
+	out  ring
+	reps []int // component representatives, reused
 }
 
 // FreeEdgeStats aggregates the per-round behaviour of the adversary, used by
@@ -116,7 +119,7 @@ func (a *FreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 		a.stats.MaxComponents = comps
 	}
 
-	g := graph.New(n)
+	g := a.out.next(n)
 	if a.sparse {
 		for _, e := range forest {
 			g.AddEdge(e[0], e[1])
@@ -132,9 +135,9 @@ func (a *FreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 	}
 	// Connect the ℓ free components with ℓ−1 non-free edges between
 	// component representatives.
-	reps := dsu.Representatives()
-	for i := 1; i < len(reps); i++ {
-		g.AddEdge(reps[0], reps[i])
+	a.reps = dsu.AppendRepresentatives(a.reps[:0])
+	for _, r := range a.reps[1:] {
+		g.AddEdge(a.reps[0], r)
 	}
 
 	a.stats.Rounds++

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"dynspread/internal/graph"
+	"dynspread/internal/unionfind"
 )
 
 // RotatingStar serves a star whose center advances every Period rounds —
@@ -15,6 +16,7 @@ import (
 type RotatingStar struct {
 	n      int
 	period int
+	out    ring
 }
 
 // NewRotatingStar returns the sequence; period <= 0 selects 1 (rotate every
@@ -35,7 +37,7 @@ func (s *RotatingStar) Name() string { return fmt.Sprintf("rotating-star(p=%d)",
 // Graph implements Sequence.
 func (s *RotatingStar) Graph(r int) *graph.Graph {
 	center := ((r - 1) / s.period) % s.n
-	g := graph.New(s.n)
+	g := s.out.next(s.n)
 	for v := 0; v < s.n; v++ {
 		if v != center {
 			g.AddEdge(center, v)
@@ -66,6 +68,11 @@ type Mobility struct {
 	rng    *rand.Rand
 	x, y   []float64
 	vx, vy []float64
+	out    ring
+	// connectNearest's scratch, reused across rounds.
+	dsu    *unionfind.DSU
+	reps   []int
+	inBase []bool
 }
 
 // NewMobility returns the mobility sequence over n nodes.
@@ -112,7 +119,7 @@ func (m *Mobility) Graph(r int) *graph.Graph {
 	if r > 1 {
 		m.step()
 	}
-	g := graph.New(m.n)
+	g := m.out.next(m.n)
 	r2 := m.opts.Radius * m.opts.Radius
 	for u := 0; u < m.n; u++ {
 		for v := u + 1; v < m.n; v++ {
@@ -158,18 +165,26 @@ func (m *Mobility) step() {
 // connectNearest adds one edge per extra component, choosing the spatially
 // closest cross-component pair (greedy, merging into the first component).
 func (m *Mobility) connectNearest(g *graph.Graph) {
-	dsu := g.DSU()
+	dsu := g.DSUInto(m.dsu)
+	m.dsu = dsu
+	if cap(m.inBase) < m.n {
+		m.inBase = make([]bool, m.n)
+	}
+	inBase := m.inBase[:m.n]
 	for dsu.Components() > 1 {
-		reps := dsu.Representatives()
-		base := dsu.Find(reps[0])
+		m.reps = dsu.AppendRepresentatives(m.reps[:0])
+		base := dsu.Find(m.reps[0])
+		for v := range inBase {
+			inBase[v] = dsu.Find(v) == base
+		}
 		bestD := math.Inf(1)
 		bestU, bestV := -1, -1
 		for u := 0; u < m.n; u++ {
-			if dsu.Find(u) != base {
+			if !inBase[u] {
 				continue
 			}
 			for v := 0; v < m.n; v++ {
-				if dsu.Find(v) == base {
+				if inBase[v] {
 					continue
 				}
 				dx, dy := m.x[u]-m.x[v], m.y[u]-m.y[v]

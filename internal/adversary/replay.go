@@ -29,6 +29,7 @@ const ReplayName = "trace-replay"
 type replayCore struct {
 	tr  *trace.GraphTrace
 	cur *graph.Graph
+	out ring
 	pos int // rounds applied so far
 }
 
@@ -53,7 +54,7 @@ func (c *replayCore) step(r int) *graph.Graph {
 		}
 		c.pos++
 	}
-	return c.cur.Clone()
+	return c.out.copyOf(c.cur)
 }
 
 // Replay serves a recorded trace to unicast executions.

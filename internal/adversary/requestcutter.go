@@ -27,6 +27,13 @@ type RequestCutter struct {
 	cutProb float64
 	rng     *rand.Rand
 	cur     *graph.Graph
+	out     ring
+
+	// Per-round scratch: the deduplicated hot edges, and seen, an
+	// otherwise empty graph marking the edges already in hot (cleared edge
+	// by edge after use). seen is created on first use.
+	hot  []graph.Edge
+	seen *graph.Graph
 
 	cuts int64
 }
@@ -72,23 +79,26 @@ func (a *RequestCutter) Cuts() int64 { return a.cuts }
 // NextGraph implements sim.Adversary.
 func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
 	if view.Round == 1 {
-		return a.cur.Clone()
+		return a.out.copyOf(a.cur)
 	}
 	// Hot edges: they carried a request last round, so this round they would
 	// carry the responding token. LastSent is delivery-sorted, so collecting
 	// into a slice (deduped) keeps the RNG draw order deterministic — ranging
 	// over a map here made runs irreproducible.
-	seen := make(map[graph.Edge]bool, len(view.LastSent))
-	hot := make([]graph.Edge, 0, len(view.LastSent))
+	if a.seen == nil {
+		a.seen = graph.New(a.n)
+	}
+	hot := a.hot[:0]
 	for i := range view.LastSent {
 		m := &view.LastSent[i]
-		if m.Has(sim.KindRequest) {
-			if e := graph.NewEdge(m.From, m.To); !seen[e] {
-				seen[e] = true
-				hot = append(hot, e)
-			}
+		if m.Has(sim.KindRequest) && a.seen.AddEdge(m.From, m.To) {
+			hot = append(hot, graph.NewEdge(m.From, m.To))
 		}
 	}
+	for _, e := range hot {
+		a.seen.RemoveEdge(e.U, e.V)
+	}
+	a.hot = hot
 	for _, e := range hot {
 		if !a.cur.HasEdge(e.U, e.V) {
 			continue
@@ -104,7 +114,7 @@ func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
 		}
 	}
 	a.backgroundChurn()
-	return a.cur.Clone()
+	return a.out.copyOf(a.cur)
 }
 
 // backgroundChurn swaps one random non-bridge edge for a random fresh edge,

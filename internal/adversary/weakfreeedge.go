@@ -27,6 +27,12 @@ type WeakFreeEdge struct {
 	prevChoices []token.ID
 	mispredicts int64
 	rounds      int64
+
+	// Per-round scratch: the view the free graph is computed against, the
+	// served-graph ring and the component representatives.
+	predView sim.BroadcastView
+	out      ring
+	reps     []int
 }
 
 // NewWeakFreeEdge returns the weakly adaptive free-edge adversary.
@@ -76,15 +82,15 @@ func (a *WeakFreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 	}
 
 	// Build the free graph with respect to the PREDICTED assignment.
-	predView := &sim.BroadcastView{View: view.View, Choices: predicted}
-	dsu, forest := a.inst.FreeGraph(predView)
-	g := graph.New(n)
+	a.predView = sim.BroadcastView{View: view.View, Choices: predicted}
+	dsu, forest := a.inst.FreeGraph(&a.predView)
+	g := a.out.next(n)
 	for _, e := range forest {
 		g.AddEdge(e[0], e[1])
 	}
-	reps := dsu.Representatives()
-	for i := 1; i < len(reps); i++ {
-		g.AddEdge(reps[0], reps[i])
+	a.reps = dsu.AppendRepresentatives(a.reps[:0])
+	for _, r := range a.reps[1:] {
+		g.AddEdge(a.reps[0], r)
 	}
 
 	// Score the prediction against the true choices (read only after the

@@ -359,6 +359,26 @@ func (s *Set) ForEachNotInFrom(o *Set, from int, fn func(int)) {
 	})
 }
 
+// IntersectionCount returns |s ∩ o| without allocating: one popcount sweep
+// when both sets are dense over the same universe, otherwise a walk of the
+// sparser set probing the other.
+func (s *Set) IntersectionCount(o *Set) int {
+	if s.dense && o.dense && s.n == o.n {
+		return s.dn.IntersectionCount(&o.dn)
+	}
+	walk, probe := s, o
+	if walk.dense {
+		walk, probe = o, s
+	}
+	c := 0
+	walk.ForEach(func(e int) {
+		if probe.Contains(e) {
+			c++
+		}
+	})
+	return c
+}
+
 // Equal reports whether s and o hold the same elements over the same
 // universe, regardless of representation.
 func (s *Set) Equal(o *Set) bool {

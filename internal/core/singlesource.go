@@ -103,10 +103,11 @@ type SingleSourceOpts struct {
 
 // SingleSourceStats aggregates instrumentation across all nodes of one run.
 type SingleSourceStats struct {
-	// ContribRequestRounds marks rounds in which some node assigned a
-	// request to a contributive edge (the negation of the first futile-round
-	// condition of Definition 3.3).
-	ContribRequestRounds map[int]bool
+	// ContribRequestRounds[r] marks round r as one in which some node
+	// assigned a request to a contributive edge (the negation of the first
+	// futile-round condition of Definition 3.3). Indexed by round, it grows
+	// on write; read it through ContribRequest.
+	ContribRequestRounds []bool
 	// RequestsByClass counts assigned requests per edge class
 	// (new, idle, contributive).
 	RequestsByClass [3]int64
@@ -117,7 +118,21 @@ type SingleSourceStats struct {
 
 // NewSingleSourceStats returns an empty stats collector.
 func NewSingleSourceStats() *SingleSourceStats {
-	return &SingleSourceStats{ContribRequestRounds: make(map[int]bool)}
+	return &SingleSourceStats{}
+}
+
+// ContribRequest reports whether some node assigned a request to a
+// contributive edge in round r.
+func (st *SingleSourceStats) ContribRequest(r int) bool {
+	return r >= 0 && r < len(st.ContribRequestRounds) && st.ContribRequestRounds[r]
+}
+
+// markContribRequest records a contributive-edge request in round r.
+func (st *SingleSourceStats) markContribRequest(r int) {
+	if grow := r + 1 - len(st.ContribRequestRounds); grow > 0 {
+		st.ContribRequestRounds = append(st.ContribRequestRounds, make([]bool, grow)...)
+	}
+	st.ContribRequestRounds[r] = true
 }
 
 // NewSingleSource returns the Algorithm 1 factory.
@@ -278,7 +293,7 @@ func (p *SingleSource) sendIncomplete() []sim.Message {
 		if st := p.opts.Stats; st != nil {
 			st.RequestsByClass[int(c.class)-1]++
 			if c.class == edgeContributive {
-				st.ContribRequestRounds[p.round] = true
+				st.markContribRequest(p.round)
 			}
 			if p.round > st.LastRequestRound {
 				st.LastRequestRound = p.round

@@ -20,14 +20,26 @@ type Topkis struct {
 	env  sim.NodeEnv
 	know *adaptive.Set
 	// sent[u] is the set of tokens already forwarded to neighbor u, indexed
-	// by node ID and allocated lazily on first contact. A slice, not a map:
-	// the per-neighbor lookup is on the round hot path.
-	sent []*bitset.Set
-	nbrs []graph.NodeID
+	// by node ID and taken on first contact from spare, a block of sets
+	// carved from one slab for up to topkisBlock neighbors. A slice, not a
+	// map: the per-neighbor lookup is on the round hot path.
+	sent  []*bitset.Set
+	spare []bitset.Set
+	nbrs  []graph.NodeID
 	// out is the reusable Send buffer; the engine copies messages out of it
-	// before the next round, so steady-state rounds allocate nothing.
+	// before the next round. Its capacity grows in steps of topkisBlock
+	// messages (capped at n−1), so it stops growing once the node has seen
+	// its largest degree.
 	out []sim.Message
 }
+
+// topkisBlock is the number of neighbors Topkis sizes its per-neighbor state
+// for at a time. A node allocates one block of sent sets per topkisBlock
+// distinct neighbors it meets (at most n−1 in all), instead of one set per
+// neighbor, and at n ≤ topkisBlock+1 a single block covers every possible
+// neighbor, so a dynamic adversary's new contacts cost nothing after the
+// node's first round.
+const topkisBlock = 8
 
 // NewTopkis returns the baseline factory.
 func NewTopkis() sim.Factory {
@@ -54,11 +66,14 @@ func (p *Topkis) BeginRound(_ int, neighbors []graph.NodeID) { p.nbrs = neighbor
 //
 //dynspread:hotpath
 func (p *Topkis) Send(_ int) []sim.Message {
+	if cap(p.out) < len(p.nbrs) {
+		p.growOut()
+	}
 	out := p.out[:0]
 	for _, u := range p.nbrs {
 		s := p.sent[int(u)]
 		if s == nil {
-			s = bitset.New(p.env.K)
+			s = p.newSent()
 			p.sent[int(u)] = s
 		}
 		t := pickUnsent(p.know, s)
@@ -67,12 +82,37 @@ func (p *Topkis) Send(_ int) []sim.Message {
 		}
 		s.Add(t)
 		info := p.env.InfoOf(t)
-		//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
+		//dynspread:allow hotpath -- never regrows: growOut sized out for this round's neighbors
 		out = append(out, sim.TokenMsg(p.env.ID, u,
 			sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index}))
 	}
 	p.out = out
 	return out
+}
+
+// growOut resizes the empty Send buffer to the next multiple of topkisBlock
+// that holds this round's neighbors, capped at n−1.
+func (p *Topkis) growOut() {
+	c := (len(p.nbrs) + topkisBlock - 1) / topkisBlock * topkisBlock
+	p.out = make([]sim.Message, 0, min(c, p.env.N-1))
+}
+
+// newSent returns an empty sent set for a first-contact neighbor, carving a
+// new block of min(topkisBlock, n−1) sets from one slab when the spare ones
+// are used up.
+func (p *Topkis) newSent() *bitset.Set {
+	if len(p.spare) == 0 {
+		b := min(topkisBlock, p.env.N-1)
+		w := bitset.WordsFor(p.env.K)
+		slab := make([]uint64, b*w)
+		p.spare = make([]bitset.Set, b)
+		for i := range p.spare {
+			p.spare[i] = bitset.Wrap(p.env.K, slab[i*w:(i+1)*w:(i+1)*w])
+		}
+	}
+	s := &p.spare[0]
+	p.spare = p.spare[1:]
+	return s
 }
 
 // pickUnsent returns the lowest token in know but not in sentTo, or None.

@@ -54,7 +54,7 @@ func E11FutileRounds(cfg Config) (*tablefmt.Table, error) {
 		}
 		futile := 0
 		for r := 1; r <= stats.LastRequestRound && r+2 <= res.Rounds; r++ {
-			if !stats.ContribRequestRounds[r] && learnedAt[r+1] == 0 && learnedAt[r+2] == 0 {
+			if !stats.ContribRequest(r) && learnedAt[r+1] == 0 && learnedAt[r+2] == 0 {
 				futile++
 			}
 		}

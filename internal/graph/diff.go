@@ -35,6 +35,30 @@ func Compute(prev, next *Graph) Diff {
 	return d
 }
 
+// DiffCount returns |E+| and |E-| of the diff from prev to next — the
+// lengths of Compute's Inserted and Removed — without materializing an
+// edge. A nil graph is the empty graph, as in Compute. Each row costs one
+// intersection popcount against the other graph's row (a word sweep for
+// dense rows): the edges both graphs share are counted once from each
+// endpoint, and everything else in next is inserted, everything else in
+// prev removed. The engine's TC accounting reads only these two numbers.
+func DiffCount(prev, next *Graph) (inserted, removed int) {
+	switch {
+	case prev == next:
+		return 0, 0
+	case next == nil:
+		return 0, prev.m
+	case prev == nil:
+		return next.m, 0
+	}
+	common := 0
+	for v := 0; v < next.n && v < prev.n; v++ {
+		common += next.adj[v].IntersectionCount(&prev.adj[v])
+	}
+	common /= 2
+	return next.m - common, prev.m - common
+}
+
 // appendEdgeDiff appends the canonical edges of a \ b in sorted order — a
 // row-wise set difference per node, so the common case of two mostly-equal
 // round graphs costs a word sweep per row instead of two full edge-set walks

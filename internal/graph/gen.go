@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+
+	"dynspread/internal/unionfind"
 )
 
 // Path returns the path 0-1-2-...-(n-1).
@@ -43,61 +45,106 @@ func Complete(n int) *Graph {
 	return g
 }
 
+// GenScratch holds the reusable buffers of the in-place generators
+// (FillRandomTree, FillRandomConnected, FillRandomRegularish) and of
+// Connectify. The zero value is ready to use; a generator that keeps one
+// across rounds draws every round's graph without allocating once the
+// buffers have grown to the node count. A GenScratch is not safe for
+// concurrent use.
+type GenScratch struct {
+	prufer, degree []int
+	perm           []int
+
+	dsu     *unionfind.DSU
+	reps    []int
+	compOf  []int
+	ends    []int
+	members []NodeID
+	added   []Edge
+}
+
+// ints returns buf resized to n, reallocating only when it is too small.
+// The contents are stale; callers overwrite every entry they read.
+func ints(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
 // RandomTree returns a uniformly random labeled tree on n nodes, generated by
 // decoding a random Prüfer sequence.
 func RandomTree(n int, rng *rand.Rand) *Graph {
 	g := New(n)
+	FillRandomTree(g, rng, new(GenScratch))
+	return g
+}
+
+// FillRandomTree overwrites g with a uniformly random labeled tree on its
+// g.N() nodes — RandomTree in place, with the same draws and the same edges.
+func FillRandomTree(g *Graph, rng *rand.Rand, s *GenScratch) {
+	g.Clear()
+	n := g.N()
 	if n <= 1 {
-		return g
+		return
 	}
 	if n == 2 {
 		g.AddEdge(0, 1)
-		return g
+		return
 	}
-	prufer := make([]int, n-2)
+	prufer := ints(s.prufer, n-2)
 	for i := range prufer {
 		prufer[i] = rng.Intn(n)
 	}
-	degree := make([]int, n)
+	degree := ints(s.degree, n)
 	for i := range degree {
 		degree[i] = 1
 	}
 	for _, p := range prufer {
 		degree[p]++
 	}
-	// Decode: repeatedly attach the smallest leaf to the next Prüfer entry.
-	// Using a simple scan keeps this O(n^2) worst case but n is small here.
-	used := make([]bool, n)
+	// Decode: repeatedly attach the smallest leaf to the next Prüfer entry,
+	// in linear time. ptr is the last leaf taken by a forward scan; a node
+	// that becomes a leaf below ptr is the smallest leaf at once, and one
+	// above ptr is found when the scan reaches it. The last edge joins the
+	// final leaf to n−1, which is never a leaf before the end.
+	ptr := 0
+	for degree[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
 	for _, p := range prufer {
-		for leaf := 0; leaf < n; leaf++ {
-			if degree[leaf] == 1 && !used[leaf] {
-				g.AddEdge(leaf, p)
-				used[leaf] = true
-				degree[p]--
-				break
-			}
+		g.AddEdge(leaf, p)
+		degree[p]--
+		if degree[p] == 1 && p < ptr {
+			leaf = p
+			continue
 		}
-	}
-	// Connect the last two remaining nodes of degree 1.
-	last := make([]int, 0, 2)
-	for v := 0; v < n; v++ {
-		if degree[v] == 1 && !used[v] {
-			last = append(last, v)
+		ptr++
+		for degree[ptr] != 1 {
+			ptr++
 		}
+		leaf = ptr
 	}
-	if len(last) == 2 {
-		g.AddEdge(last[0], last[1])
-	}
-	return g
+	g.AddEdge(leaf, n-1)
+	s.prufer, s.degree = prufer, degree
 }
 
 // RandomConnected returns a connected graph on n nodes with approximately m
 // edges (at least n-1): a random spanning tree plus random extra edges. If m
 // exceeds the number of possible edges it is clamped.
 func RandomConnected(n, m int, rng *rand.Rand) *Graph {
-	g := RandomTree(n, rng)
-	maxM := n * (n - 1) / 2
-	if m > maxM {
+	g := New(n)
+	FillRandomConnected(g, m, rng, new(GenScratch))
+	return g
+}
+
+// FillRandomConnected overwrites g with RandomConnected(g.N(), m, rng), in
+// place and with the same draws.
+func FillRandomConnected(g *Graph, m int, rng *rand.Rand, s *GenScratch) {
+	FillRandomTree(g, rng, s)
+	n := g.N()
+	if maxM := n * (n - 1) / 2; m > maxM {
 		m = maxM
 	}
 	for g.M() < m {
@@ -106,7 +153,6 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 			g.AddEdge(a, b)
 		}
 	}
-	return g
 }
 
 // RandomRegularish returns a connected graph where every node has degree at
@@ -117,8 +163,17 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 // cycle. d is clamped to [2, n-1].
 func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 	g := New(n)
+	FillRandomRegularish(g, d, rng, new(GenScratch))
+	return g
+}
+
+// FillRandomRegularish overwrites g with RandomRegularish(g.N(), d, rng), in
+// place and with the same draws.
+func FillRandomRegularish(g *Graph, d int, rng *rand.Rand, s *GenScratch) {
+	g.Clear()
+	n := g.N()
 	if n <= 1 {
-		return g
+		return
 	}
 	if d < 2 {
 		d = 2
@@ -127,7 +182,7 @@ func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 		d = n - 1
 	}
 	cycles := (d + 1) / 2
-	perm := make([]int, n)
+	perm := ints(s.perm, n)
 	for c := 0; c < cycles; c++ {
 		for i := range perm {
 			perm[i] = i
@@ -137,7 +192,7 @@ func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 			g.AddEdge(perm[i], perm[(i+1)%n])
 		}
 	}
-	return g
+	s.perm = perm
 }
 
 // Grid returns an approximately square rows x cols grid covering n nodes
@@ -160,29 +215,54 @@ func Grid(rows, cols int) *Graph {
 }
 
 // Connectify adds random edges between components until g is connected,
-// returning the edges it added. Used by generators that may produce
-// disconnected graphs (e.g. edge-Markovian evolution).
-func Connectify(g *Graph, rng *rand.Rand) []Edge {
-	d := g.DSU()
+// returning the edges it added (nil when g already is). Used by generators
+// that may produce disconnected graphs (e.g. edge-Markovian evolution). The
+// returned slice is s's storage, valid until s is next used.
+//
+// Component i (in increasing root order) is joined to the union of
+// components 0..i-1 by an edge between a random member of that union and a
+// random member of component i.
+func Connectify(g *Graph, rng *rand.Rand, s *GenScratch) []Edge {
+	d := g.DSUInto(s.dsu)
+	s.dsu = d
 	if d.Components() <= 1 {
 		return nil
 	}
-	reps := d.Representatives()
-	// Group members by component root for random endpoint selection.
-	members := make(map[int][]NodeID, len(reps))
-	for v := 0; v < g.N(); v++ {
-		r := d.Find(v)
-		members[r] = append(members[r], v)
+	reps := d.AppendRepresentatives(s.reps[:0])
+	// Lay the members out grouped by component in reps order, each group in
+	// increasing node order (a stable counting sort on the component
+	// index). Afterwards component i spans members[ends[i-1]:ends[i]], and
+	// components 0..i-1 — the union the i-th join draws from — are the
+	// prefix members[:ends[i-1]].
+	n := g.N()
+	compOf := ints(s.compOf, n)
+	for i, r := range reps {
+		compOf[r] = i
 	}
-	added := make([]Edge, 0, len(reps)-1)
+	ends := ints(s.ends, len(reps)+1)
+	clear(ends)
+	for v := 0; v < n; v++ {
+		ends[compOf[d.Find(v)]+1]++
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1]
+	}
+	members := ints(s.members, n)
+	for v := 0; v < n; v++ {
+		c := compOf[d.Find(v)]
+		members[ends[c]] = v
+		ends[c]++
+	}
+	added := s.added[:0]
 	for i := 1; i < len(reps); i++ {
-		a := members[reps[0]][rng.Intn(len(members[reps[0]]))]
-		b := members[reps[i]][rng.Intn(len(members[reps[i]]))]
+		lo, hi := ends[i-1], ends[i]
+		a := members[rng.Intn(lo)]
+		b := members[lo+rng.Intn(hi-lo)]
 		if g.AddEdge(a, b) {
 			added = append(added, NewEdge(a, b))
 		}
-		members[reps[0]] = append(members[reps[0]], members[reps[i]]...)
 	}
+	s.reps, s.compOf, s.ends, s.members, s.added = reps, compOf, ends, members, added
 	return added
 }
 

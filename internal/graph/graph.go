@@ -53,26 +53,42 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 // allocation.
 //
 // Read accessors that are on the engine's per-round hot path
-// (NeighborsShared, Connected) memoize their answer; any successful AddEdge
-// or RemoveEdge invalidates the memo. A Graph is not safe for concurrent
-// use, even read-only, because of this lazy memoization.
+// (NeighborsShared, Connected) memoize their answer. Any successful AddEdge
+// or RemoveEdge invalidates the neighbor lists; the connectivity memo
+// survives the mutations that cannot change it (see AddEdge and
+// RemoveEdge). A Graph is not safe for concurrent use, even read-only,
+// because of this lazy memoization and because the connectivity queries
+// run their BFS in scratch the graph owns.
 type Graph struct {
 	n   int
 	m   int
 	adj []adaptive.Set
 
-	// Lazy snapshot caches, nil/0 when stale: flat is the per-node sorted
+	// Lazy snapshot caches, empty/0 when stale: flat is the per-node sorted
 	// adjacency (subslices of flatBase), conn the memoized connectivity
-	// (+1 connected, -1 disconnected).
+	// (+1 connected, -1 disconnected). Invalidation keeps flat's and
+	// flatBase's storage, so a graph that is rewritten in place every round
+	// rebuilds its neighbor lists without allocating.
 	flat     [][]NodeID
 	flatBase []NodeID
 	conn     int8
+	// safeCut, while safeCutOK, is an edge whose removal ConnectedWithout
+	// has shown keeps the graph connected; edges added since cannot change
+	// that, any removal clears it.
+	safeCut   Edge
+	safeCutOK bool
+
+	// BFS scratch of Connected/ConnectedWithout, created on first use:
+	// the visited set and the queue.
+	seen  adaptive.Set
+	queue []NodeID
 }
 
-// invalidate drops the lazy snapshot caches after a mutation.
+// invalidate drops the lazy snapshot caches after an arbitrary rewrite.
 func (g *Graph) invalidate() {
-	g.flat = nil
+	g.flat = g.flat[:0]
 	g.conn = 0
+	g.safeCutOK = false
 }
 
 // New returns an empty graph over n nodes.
@@ -91,6 +107,7 @@ func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the edge {a,b}. It reports whether the edge was newly
 // inserted (false for self-loops, out-of-range endpoints, or existing edges).
+// A graph known to be connected stays known connected.
 func (g *Graph) AddEdge(a, b NodeID) bool {
 	if a == b || a < 0 || b < 0 || a >= g.n || b >= g.n {
 		return false
@@ -100,11 +117,18 @@ func (g *Graph) AddEdge(a, b NodeID) bool {
 	}
 	g.adj[b].Insert(a)
 	g.m++
-	g.invalidate()
+	g.flat = g.flat[:0]
+	if g.conn < 0 {
+		g.conn = 0
+	}
 	return true
 }
 
-// RemoveEdge deletes the edge {a,b}, reporting whether it existed.
+// RemoveEdge deletes the edge {a,b}, reporting whether it existed. A graph
+// known to be disconnected stays known disconnected, and a connected graph
+// stays known connected when the edge is the one ConnectedWithout last
+// approved (so a generator that tests an edge and then cuts it does not pay
+// for a second connectivity check).
 func (g *Graph) RemoveEdge(a, b NodeID) bool {
 	if a == b || a < 0 || b < 0 || a >= g.n || b >= g.n {
 		return false
@@ -114,7 +138,11 @@ func (g *Graph) RemoveEdge(a, b NodeID) bool {
 	}
 	g.adj[b].Delete(a)
 	g.m--
-	g.invalidate()
+	g.flat = g.flat[:0]
+	if g.conn > 0 && !(g.safeCutOK && g.safeCut == NewEdge(a, b)) {
+		g.conn = 0
+	}
+	g.safeCutOK = false
 	return true
 }
 
@@ -156,7 +184,7 @@ func (g *Graph) NeighborsShared(v NodeID) []NodeID {
 	if v < 0 || v >= g.n {
 		return nil
 	}
-	if g.flat == nil {
+	if len(g.flat) == 0 {
 		g.buildFlat()
 	}
 	return g.flat[v]
@@ -164,16 +192,25 @@ func (g *Graph) NeighborsShared(v NodeID) []NodeID {
 
 // buildFlat flattens the adjacency rows into sorted per-node subslices of a
 // single backing array. Rows iterate in increasing order, so no sort is
-// needed.
+// needed. Both the backing array and the row-header slice are reused when
+// they are large enough, and the backing array is allocated with room for
+// twice the current edges, so a graph rewritten in place every round (an
+// adversary's ring slot) with a fluctuating edge count stops reallocating
+// after its first rounds.
 func (g *Graph) buildFlat() {
 	total := 2 * g.m
 	base := g.flatBase
 	if cap(base) < total {
-		base = make([]NodeID, 0, total)
+		base = make([]NodeID, 0, 2*total)
 	} else {
 		base = base[:0]
 	}
-	flat := make([][]NodeID, g.n)
+	flat := g.flat[:0]
+	if cap(flat) < g.n {
+		flat = make([][]NodeID, g.n)
+	} else {
+		flat = flat[:g.n]
+	}
 	for v := 0; v < g.n; v++ {
 		start := len(base)
 		g.adj[v].ForEach(func(u int) { base = append(base, u) })
@@ -185,14 +222,13 @@ func (g *Graph) buildFlat() {
 
 // Edges returns all edges in canonical sorted order (by U, then V). Rows are
 // walked above the diagonal, which yields exactly that order with no sort.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.m)
-	for v := 0; v < g.n; v++ {
-		g.adj[v].ForEachFrom(v+1, func(u int) {
-			out = append(out, Edge{U: v, V: u})
-		})
-	}
-	return out
+func (g *Graph) Edges() []Edge { return g.AppendEdges(make([]Edge, 0, g.m)) }
+
+// AppendEdges appends g's edges to dst in the canonical order of Edges — the
+// allocation-free form for callers that keep a buffer across rounds.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
+	g.forEachEdge(func(u, v NodeID) { dst = append(dst, Edge{U: u, V: v}) })
+	return dst
 }
 
 // EdgeAt returns the i-th edge (0-based) of the canonical sorted order —
@@ -222,11 +258,35 @@ func (g *Graph) EdgeAt(i int) (Edge, bool) {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, m: g.m, adj: adaptive.NewSlice(g.n, g.n)}
-	for v := range g.adj {
-		c.adj[v].CopyFrom(&g.adj[v])
-	}
+	c := New(g.n)
+	c.CopyFrom(g)
 	return c
+}
+
+// CopyFrom makes g an exact copy of o (node count, edge set and the memoized
+// connectivity), reusing g's row storage when the node counts match.
+func (g *Graph) CopyFrom(o *Graph) {
+	if g.n != o.n {
+		g.n = o.n
+		g.adj = adaptive.NewSlice(o.n, o.n)
+	}
+	for v := range o.adj {
+		g.adj[v].CopyFrom(&o.adj[v])
+	}
+	g.m = o.m
+	g.invalidate()
+	g.conn = o.conn
+}
+
+// Clear removes every edge, keeping the row storage for reuse.
+func (g *Graph) Clear() {
+	for v := range g.adj {
+		if !g.adj[v].Empty() {
+			g.adj[v].Reset(g.n)
+		}
+	}
+	g.m = 0
+	g.invalidate()
 }
 
 // Equal reports whether g and o have the same node count and edge set.
@@ -253,8 +313,17 @@ func (g *Graph) forEachEdge(fn func(u, v NodeID)) {
 // DSU returns a union-find structure with g's edges applied in canonical
 // sorted order, so component-root identity (and hence everything derived
 // from Representatives) is deterministic.
-func (g *Graph) DSU() *unionfind.DSU {
-	d := unionfind.New(g.n)
+func (g *Graph) DSU() *unionfind.DSU { return g.DSUInto(nil) }
+
+// DSUInto is DSU over caller-owned storage: it resets d to n singletons
+// (allocating a new DSU only when d is nil or sized for another node count)
+// and applies g's edges in canonical sorted order.
+func (g *Graph) DSUInto(d *unionfind.DSU) *unionfind.DSU {
+	if d == nil || d.Len() != g.n {
+		d = unionfind.New(g.n)
+	} else {
+		d.Reset()
+	}
 	g.forEachEdge(func(u, v NodeID) { d.Union(u, v) })
 	return d
 }
@@ -267,10 +336,9 @@ func (g *Graph) Connected() bool {
 		return true
 	}
 	if g.conn == 0 {
-		if g.DSU().Components() == 1 {
+		g.conn = -1
+		if g.m >= g.n-1 && g.bfsReaches(0, Edge{U: -1, V: -1}, -1) {
 			g.conn = 1
-		} else {
-			g.conn = -1
 		}
 	}
 	return g.conn == 1
@@ -280,19 +348,57 @@ func (g *Graph) Connected() bool {
 func (g *Graph) Components() int { return g.DSU().Components() }
 
 // ConnectedWithout reports whether the graph stays connected after removing
-// edge e (which need not exist; then it is just Connected).
+// edge e (which need not exist; then it is just Connected). It is one BFS
+// from e.U in G−e: when the graph is known to be connected the BFS stops as
+// soon as it reaches e.V, otherwise it must reach all n nodes.
 func (g *Graph) ConnectedWithout(e Edge) bool {
-	if g.n <= 1 {
-		return true
+	if !g.HasEdge(e.U, e.V) {
+		return g.Connected()
 	}
-	d := unionfind.New(g.n)
-	g.forEachEdge(func(u, v NodeID) {
-		if u == e.U && v == e.V {
-			return
+	e = NewEdge(e.U, e.V)
+	target := NodeID(-1)
+	if g.conn > 0 {
+		target = e.V
+	}
+	ok := g.m-1 >= g.n-1 && g.bfsReaches(e.U, e, target)
+	if ok {
+		g.conn = 1 // G−e is connected, so G is
+		g.safeCut, g.safeCutOK = e, true
+	}
+	return ok
+}
+
+// bfsReaches runs a BFS from src that never crosses the edge skip (from
+// skip.U to skip.V: callers start at skip.U, so the other direction cannot
+// arise) and reports whether it visits target (every node when target < 0).
+// The visited set and the queue are graph-owned scratch, created on first
+// use, so repeated queries allocate nothing. Dense rows (n <= 512) expand a
+// node with one word sweep of its row against the visited set; sparse rows
+// fall back to membership probes inside the same kernel.
+func (g *Graph) bfsReaches(src NodeID, skip Edge, target NodeID) bool {
+	g.seen.Reset(g.n)
+	if cap(g.queue) < g.n {
+		g.queue = make([]NodeID, 0, g.n)
+	}
+	q := append(g.queue[:0], src)
+	g.seen.Insert(src)
+	for i := 0; i < len(q) && len(q) < g.n; i++ {
+		if target >= 0 && g.seen.Contains(target) {
+			return true
 		}
-		d.Union(u, v)
-	})
-	return d.Components() == 1
+		v := q[i]
+		g.adj[v].ForEachNotInFrom(&g.seen, 0, func(u int) {
+			if v == skip.U && u == skip.V {
+				return
+			}
+			g.seen.Insert(u)
+			q = append(q, u)
+		})
+	}
+	if target >= 0 {
+		return g.seen.Contains(target)
+	}
+	return len(q) == g.n
 }
 
 // BFSDistances returns the hop distances from src (-1 for unreachable nodes).

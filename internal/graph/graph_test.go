@@ -308,7 +308,8 @@ func TestConnectify(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
 	g.AddEdge(4, 5)
-	added := Connectify(g, rng)
+	var scratch GenScratch
+	added := Connectify(g, rng, &scratch)
 	if !g.Connected() {
 		t.Fatal("not connected after Connectify")
 	}
@@ -317,7 +318,7 @@ func TestConnectify(t *testing.T) {
 	}
 	// Already connected: no-op.
 	before := g.M()
-	if got := Connectify(g, rng); got != nil {
+	if got := Connectify(g, rng, &scratch); got != nil {
 		t.Fatalf("Connectify on connected graph added %v", got)
 	}
 	if g.M() != before {

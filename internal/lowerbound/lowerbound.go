@@ -20,10 +20,15 @@ import (
 	"dynspread/internal/unionfind"
 )
 
-// Instance holds one sampled choice of the bookkeeping sets K'_v.
+// Instance holds one sampled choice of the bookkeeping sets K'_v, plus the
+// scratch FreeGraph reuses from call to call.
 type Instance struct {
 	n, k   int
 	kprime []*bitset.Set
+
+	dsu           *unionfind.DSU
+	forest        [][2]int
+	silent, bcast []int
 }
 
 // Sample draws each K'_v by including every token independently with
@@ -107,15 +112,24 @@ func (in *Instance) Free(view *sim.BroadcastView, u, v int) bool {
 //
 // Silent-silent pairs are always free, so all non-broadcasting nodes are
 // merged pairwise along a path without scanning the quadratic clique.
+//
+// The DSU and the forest are the instance's scratch: they stay valid until
+// the next FreeGraph call, which overwrites them without allocating.
 func (in *Instance) FreeGraph(view *sim.BroadcastView) (*unionfind.DSU, [][2]int) {
-	dsu := unionfind.New(in.n)
-	forest := make([][2]int, 0, in.n-1)
+	if in.dsu == nil {
+		in.dsu = unionfind.New(in.n)
+		in.forest = make([][2]int, 0, in.n-1)
+	} else {
+		in.dsu.Reset()
+	}
+	dsu := in.dsu
+	forest := in.forest[:0]
 	union := func(a, b int) {
 		if dsu.Union(a, b) {
 			forest = append(forest, [2]int{a, b})
 		}
 	}
-	var silent, bcast []int
+	silent, bcast := in.silent[:0], in.bcast[:0]
 	for v := 0; v < in.n; v++ {
 		if view.Choices[v] == token.None {
 			silent = append(silent, v)
@@ -138,6 +152,7 @@ func (in *Instance) FreeGraph(view *sim.BroadcastView) (*unionfind.DSU, [][2]int
 			}
 		}
 	}
+	in.forest, in.silent, in.bcast = forest, silent, bcast
 	return dsu, forest
 }
 

@@ -25,7 +25,9 @@ type BroadcastConfig struct {
 	ArrivalSchedule []int
 	// OnRound, if non-nil, observes each round: the graph, the committed
 	// choices, and the number of token learnings that happened this round.
-	// The choices slice is only valid for the duration of the callback.
+	// The choices slice is only valid for the duration of the callback, and
+	// the graph only until the adversary rewrites it two rounds later (see
+	// Adversary.NextGraph): a hook that keeps a graph must Clone it.
 	OnRound func(r int, g *graph.Graph, choices []token.ID, learned int64)
 	// Workspace, if non-nil, supplies reusable buffers (see Workspace).
 	Workspace *Workspace

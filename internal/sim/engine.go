@@ -285,9 +285,9 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 					mode.advName(), cfg.checkStability, v.E, v.InsertedAt, v.RemovedAt)
 			}
 		}
-		diff := graph.Compute(prev, g)
-		st.metrics.TC += int64(len(diff.Inserted))
-		st.metrics.Removals += int64(len(diff.Removed))
+		inserted, removed := graph.DiffCount(prev, g)
+		st.metrics.TC += int64(inserted)
+		st.metrics.Removals += int64(removed)
 
 		learned, err := mode.exchange(r, g)
 		if err != nil {

@@ -30,7 +30,9 @@ type UnicastConfig struct {
 	// OnRound, if non-nil, observes every round after delivery: the round
 	// number, that round's graph, the messages sent, and the number of
 	// token-learning events the round produced. For tracing. The sent slice
-	// is only valid for the duration of the callback.
+	// is only valid for the duration of the callback, and the graph only
+	// until the adversary rewrites it two rounds later (see
+	// Adversary.NextGraph): a hook that keeps a graph must Clone it.
 	OnRound func(r int, g *graph.Graph, sent []Message, learned int64)
 	// Workspace, if non-nil, supplies reusable buffers (see Workspace).
 	Workspace *Workspace

@@ -98,18 +98,23 @@ func (v *BroadcastView) NumBroadcasters() int {
 type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
-	// NextGraph returns the communication graph of round view.Round. A
-	// served graph must never be mutated afterwards: the engine keeps it as
-	// view.Prev and diffs consecutive graphs by identity, so an adversary
-	// that mutates its current graph in place must serve a clone (or, like
-	// the static adversary, serve one never-mutated snapshot — then the
-	// engine charges zero topological changes, correctly).
+	// NextGraph returns the communication graph of round view.Round.
+	//
+	// The graph served for round r must stay unchanged until the same
+	// adversary is asked for round r+2. The engine reads it during round r
+	// and as view.Prev during round r+1, and never after that, so a dynamic
+	// adversary may serve from two graphs it rewrites alternately (the
+	// adversary package's two-slot ring) instead of allocating one per
+	// round. An adversary whose graph never changes may serve the same
+	// object every round; the engine then charges zero topological changes
+	// without diffing.
 	NextGraph(view *View) *graph.Graph
 }
 
 // BroadcastAdversary supplies the dynamic topology for local-broadcast
 // executions; it additionally sees the round's committed broadcast choices
-// (the paper's strongly adaptive adversary).
+// (the paper's strongly adaptive adversary). Served graphs follow the same
+// two-round rule as Adversary.NextGraph.
 type BroadcastAdversary interface {
 	Name() string
 	NextGraph(view *BroadcastView) *graph.Graph

@@ -64,7 +64,10 @@ type Trial struct {
 	Options    any
 	AdvOptions any
 	// OnGraph, if non-nil, observes every round's communication graph after
-	// delivery. This is how runs are recorded into replayable traces.
+	// delivery. This is how runs are recorded into replayable traces. The
+	// graph stays valid only until the adversary rewrites it two rounds
+	// later (see sim.Adversary.NextGraph); a hook that keeps it must Clone
+	// it, as trace.Builder does.
 	OnGraph func(r int, g *graph.Graph)
 }
 

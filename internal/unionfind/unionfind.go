@@ -68,13 +68,18 @@ func (d *DSU) ComponentSize(x int) int { return d.size[d.Find(x)] }
 // Representatives returns one member (the canonical root) per component, in
 // increasing order of root index.
 func (d *DSU) Representatives() []int {
-	out := make([]int, 0, d.comps)
+	return d.AppendRepresentatives(make([]int, 0, d.comps))
+}
+
+// AppendRepresentatives appends the Representatives to dst — the
+// allocation-free form for callers that keep a buffer.
+func (d *DSU) AppendRepresentatives(dst []int) []int {
 	for i := range d.parent {
 		if d.Find(i) == i {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // Reset returns the DSU to n singleton components without reallocating.

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"dynspread/internal/sim"
 )
 
 // fuzzMaxRuns bounds how many accepted specs one fuzz input may execute, so
@@ -72,6 +75,65 @@ func FuzzRunRequest(f *testing.F) {
 			if r.Rounds > specs[i].MaxRounds {
 				t.Fatalf("spec %d ran %d rounds past its cap %d", i, r.Rounds, specs[i].MaxRounds)
 			}
+		}
+	})
+}
+
+// recordedSeriesJSON runs one small recorded trial and returns its round
+// series as JSON — a seed with the shape real recordings have.
+func recordedSeriesJSON(f *testing.F) string {
+	f.Helper()
+	var req RunRequest
+	in := `{"trials":[{"n":8,"k":4,"algorithm":"single-source","adversary":"churn","seed":1,"max_rounds":64}],"record":{"stride":1,"capacity":16}}`
+	if err := json.Unmarshal([]byte(in), &req); err != nil {
+		f.Fatal(err)
+	}
+	specs, err := req.Specs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := RunSpecs(WithRecord(context.Background(), req.Record), specs, 1, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if res[0].RoundSeries.Len() == 0 {
+		f.Fatal("recorded trial returned no round series")
+	}
+	b, err := json.Marshal(res[0].RoundSeries)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return string(b)
+}
+
+// FuzzRoundSeries drives arbitrary bytes through the client-side decode of
+// a round series (strict JSON decoding, then Samples). It must never panic
+// and must decode exactly one sample per Rounds entry, whatever the other
+// columns hold; and re-encoding the decoded samples with SeriesFromSnapshot
+// must decode back to the same samples.
+func FuzzRoundSeries(f *testing.F) {
+	f.Add(recordedSeriesJSON(f))
+	// Columns longer and shorter than rounds.
+	f.Add(`{"stride":1,"capacity":4,"rounds":[1,1,1],"known":[5],"messages":[1,2],"tc":[0,0,0,0,9]}`)
+	f.Add(`{"stride":1,"capacity":4,"rounds":[],"known":[]}`)
+	// Negative deltas, down to the minimum int64.
+	f.Add(`{"stride":2,"capacity":4,"rounds":[10,-4,-9223372036854775808],"known":[7,-3,-1],"learned":[-1,-2,-3]}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		var s RoundSeries
+		dec := json.NewDecoder(bytes.NewReader([]byte(in)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&s); err != nil {
+			return
+		}
+		got := s.Samples()
+		if len(got) != len(s.Rounds) || len(got) != s.Len() {
+			t.Fatalf("decoded %d samples from %d rounds (Len %d)", len(got), len(s.Rounds), s.Len())
+		}
+		again := SeriesFromSnapshot(&sim.RecorderSnapshot{
+			Stride: s.Stride, Capacity: s.Capacity, Dropped: s.Dropped, Samples: got,
+		})
+		if back := again.Samples(); !reflect.DeepEqual(back, got) {
+			t.Fatalf("samples do not round-trip:\n got %+v\nwant %+v", back, got)
 		}
 	})
 }
